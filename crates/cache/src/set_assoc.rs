@@ -5,7 +5,8 @@ use crate::policy::{PolicyKind, ReplacementPolicy};
 /// Construction parameters for a [`SetAssocCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Number of sets. Need not be a power of two (indexing uses modulo).
+    /// Number of sets. Need not be a power of two (power-of-two counts index
+    /// with a mask and a shift, others with modulo).
     pub sets: usize,
     /// Associativity.
     pub ways: usize,
@@ -88,6 +89,9 @@ pub struct SetAssocCache {
     lines: Vec<Line>,
     policy: Box<dyn ReplacementPolicy>,
     stats: CacheStats,
+    /// `log2(sets)` when the set count is a power of two: set and tag
+    /// indices are then a mask and a shift instead of a `%` and a `/`.
+    set_bits: Option<u32>,
 }
 
 impl SetAssocCache {
@@ -104,6 +108,10 @@ impl SetAssocCache {
             lines: vec![Line::default(); config.sets * config.ways],
             policy: config.policy.build(config.sets, config.ways),
             stats: CacheStats::default(),
+            set_bits: config
+                .sets
+                .is_power_of_two()
+                .then(|| config.sets.trailing_zeros()),
         }
     }
 
@@ -128,11 +136,17 @@ impl SetAssocCache {
     }
 
     fn set_of(&self, line_addr: u64) -> usize {
-        (line_addr % self.config.sets as u64) as usize
+        match self.set_bits {
+            Some(b) => (line_addr & ((1u64 << b) - 1)) as usize,
+            None => (line_addr % self.config.sets as u64) as usize,
+        }
     }
 
     fn tag_of(&self, line_addr: u64) -> u64 {
-        line_addr / self.config.sets as u64
+        match self.set_bits {
+            Some(b) => line_addr >> b,
+            None => line_addr / self.config.sets as u64,
+        }
     }
 
     fn addr_of(&self, set: usize, tag: u64) -> u64 {
@@ -345,6 +359,29 @@ mod tests {
         c.access(a, false, 0);
         let out = c.access(b, false, 0);
         assert_eq!(out.evicted.map(|e| e.line_addr), Some(a));
+    }
+
+    #[test]
+    fn shift_mask_indexing_matches_division_reference() {
+        // Power-of-two set counts index with a mask and a shift, the rest
+        // with `%` and `/`; both must agree with the division reference
+        // and reconstruct the address the victim path reports.
+        let mut g = attache_testkit::Gen::new(0x5E7_0F7A6);
+        for sets in [1usize, 2, 64, 16_384, 3, 12, 1_000] {
+            let c = cache(sets, 2, PolicyKind::Lru);
+            assert_eq!(c.set_bits.is_some(), sets.is_power_of_two(), "{sets} sets");
+            for case in 0..2_048 {
+                let addr = if case % 2 == 0 {
+                    g.next_u64()
+                } else {
+                    g.below(1 << 30)
+                };
+                let (set, tag) = (c.set_of(addr), c.tag_of(addr));
+                assert_eq!(set as u64, addr % sets as u64, "{sets} sets addr {addr}");
+                assert_eq!(tag, addr / sets as u64, "{sets} sets addr {addr}");
+                assert_eq!(c.addr_of(set, tag), addr, "{sets} sets addr {addr}");
+            }
+        }
     }
 
     #[test]

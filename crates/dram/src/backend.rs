@@ -211,6 +211,23 @@ pub trait MemoryBackend: Send + std::fmt::Debug {
     /// this request be accepted?" decisions.
     fn mutation_gen(&self) -> u64;
 
+    /// A per-request acceptance generation: while it is unchanged, an
+    /// [`enqueue`](Self::enqueue) of `req` that was rejected would be
+    /// rejected again, so a retry may be skipped without trying it. It
+    /// must change on every mutation that can turn a rejection of `req`
+    /// into an acceptance — at least whatever frees room in, or adds a
+    /// forwarding/coalescing target to, the queue `req` routes to, and
+    /// every derate set and expiry. It may stay put across mutations that
+    /// only make acceptance harder (another request filling the queue).
+    /// The default, [`mutation_gen`](Self::mutation_gen), is always
+    /// valid; a backend overrides it with something narrower (the cycle
+    /// model keeps one counter per channel) so retries wait out commands
+    /// and requests that cannot help them.
+    fn accept_gen(&self, req: &MemRequest) -> u64 {
+        let _ = req;
+        self.mutation_gen()
+    }
+
     /// Aggregated statistics across channels since the last
     /// [`reset_stats`](Self::reset_stats). Fields a model does not
     /// simulate (e.g. row hits in a flat-latency model) stay zero — the
@@ -371,6 +388,10 @@ impl MemoryBackend for crate::MemorySystem {
 
     fn mutation_gen(&self) -> u64 {
         crate::MemorySystem::mutation_gen(self)
+    }
+
+    fn accept_gen(&self, req: &MemRequest) -> u64 {
+        crate::MemorySystem::accept_gen(self, req)
     }
 
     fn stats(&self) -> ChannelStats {

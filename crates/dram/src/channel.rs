@@ -147,6 +147,10 @@ impl ChannelStats {
 /// open (CAS pass), `conflict_mask != 0` ⟺ ACT is blocked behind a PRE.
 #[derive(Debug, Clone, Copy, Default)]
 struct CandCache {
+    /// Snapshot of `req.arrival` — immutable per request (a coalescing
+    /// write replaces the request and resets the cache), so the walk's
+    /// row-protection bookkeeping never touches `req`.
+    arrival: u64,
     /// Max of the masked open sub-banks' column-ready times.
     cas_bank: u64,
     /// Max of `act_mask` sub-banks' tRC/tRP activate-ready times.
@@ -191,6 +195,7 @@ impl CandCache {
     ) -> Self {
         let mask = p.req.width.mask();
         let mut c = CandCache {
+            arrival: p.req.arrival,
             bank_epoch: epochs.0,
             rank_epoch: epochs.1,
             flat_bank: bank as u16,
@@ -217,6 +222,11 @@ impl CandCache {
             }
         }
         c
+    }
+
+    /// Masked sub-banks that already hold this candidate's row open.
+    fn open_mask(&self) -> u8 {
+        self.mask & !(self.act_mask | self.conflict_mask)
     }
 }
 
@@ -274,6 +284,17 @@ pub struct Channel {
     ranks: Vec<Rank>,
     read_q: Vec<Pending>,
     write_q: Vec<Pending>,
+    /// `write_q[i].req.line_addr` as a dense column: the forwarding and
+    /// coalescing checks scan eight bytes per entry instead of striding
+    /// through whole `Pending` records.
+    write_lines: Vec<u64>,
+    /// Acceptance generation: bumped on exactly the mutations that can
+    /// turn a rejected [`enqueue`](Channel::enqueue) into an accepted
+    /// one — a CAS shrinking a queue, a new write-queue line (read
+    /// forwarding, write coalescing), and a derate set or lift. Queue
+    /// growth from an accepted read only tightens acceptance, and ACT,
+    /// PRE, refresh and burst retirement leave it untouched.
+    accept_gen: u64,
     in_flight: Vec<(u64, MemRequest, bool)>, // (finish, req, counted_row_hit)
     completed: Vec<Completion>,
     now: u64,
@@ -313,12 +334,16 @@ pub struct Channel {
     /// a refresh closes all the rank's banks and moves its gate, so it
     /// invalidates every candidate of the rank at once.
     rank_epoch: Vec<u32>,
-    /// Scratch for the PRE walk's row-protection table: per
-    /// (rank, flat-bank, sub-rank) slot, the minimum arrival over
-    /// served-queue requests wanting that sub-bank's *open* row
-    /// (`u64::MAX` = none). Built once per PRE walk, making each
-    /// protection check O(1) instead of an O(queue) scan.
+    /// Per-walk row-protection table: per (rank, flat-bank, sub-rank)
+    /// slot, the minimum arrival over served-queue requests wanting that
+    /// sub-bank's *open* row (`u64::MAX` = none). Filled by the main
+    /// walk itself, making each PRE protection check O(1) instead of an
+    /// O(queue) scan.
     protect_min: Vec<u64>,
+    /// Per-walk scratch: the row-conflicted candidates the main walk
+    /// met, in queue order, with their fresh caches — the only
+    /// candidates the PRE step needs to look at.
+    conflicts: Vec<(usize, CandCache)>,
     /// Per-walk scratch, indexed `(rank << subranks) | mask`: the
     /// refresh-gate-folded max of the rank's data-bus ready times over
     /// the sub-ranks in `mask` (so entry `mask = 0` is the bare gate).
@@ -344,6 +369,8 @@ impl Channel {
             ranks: (0..cfg.ranks).map(|_| Rank::new(&cfg)).collect(),
             read_q: Vec::with_capacity(cfg.read_queue_capacity),
             write_q: Vec::with_capacity(cfg.write_queue_capacity),
+            write_lines: Vec::with_capacity(cfg.write_queue_capacity),
+            accept_gen: 0,
             in_flight: Vec::new(),
             completed: Vec::new(),
             now: 0,
@@ -360,6 +387,7 @@ impl Channel {
             bank_epoch: vec![0; cfg.ranks * cfg.banks()],
             rank_epoch: vec![0; cfg.ranks],
             protect_min: vec![u64::MAX; cfg.ranks * cfg.banks() * cfg.subranks],
+            conflicts: Vec::new(),
             walk_cas: vec![0; cfg.ranks << cfg.subranks],
             walk_act: vec![0; cfg.ranks << cfg.subranks],
             walk_due: vec![false; cfg.ranks],
@@ -380,6 +408,14 @@ impl Channel {
     /// occupancy simply blocks new reads until the queue drains.
     pub fn set_read_derate(&mut self, cap: Option<usize>) {
         self.read_derate = cap;
+        self.accept_gen += 1;
+    }
+
+    /// The acceptance generation: while it is unchanged, every
+    /// [`enqueue`](Channel::enqueue) this channel rejected would be
+    /// rejected again (see the field docs for what bumps it).
+    pub(crate) fn accept_gen(&self) -> u64 {
+        self.accept_gen
     }
 
     /// Attaches a protocol auditor validating against `timing` — normally
@@ -463,10 +499,7 @@ impl Channel {
     /// having a free slot: reads forward from the write queue and writes
     /// coalesce into it, and both succeed even when the target queue is full.
     pub fn would_accept(&self, req: &MemRequest) -> bool {
-        let hits_write_q = self
-            .write_q
-            .iter()
-            .any(|p| p.req.line_addr == req.line_addr);
+        let hits_write_q = self.write_lines.contains(&req.line_addr);
         match req.kind {
             AccessKind::Read => hits_write_q || self.can_accept_read(),
             AccessKind::Write => hits_write_q || self.can_accept_write(),
@@ -482,11 +515,23 @@ impl Channel {
     ///
     /// Returns [`QueueFull`] when the corresponding queue has no free slot.
     pub fn enqueue(&mut self, req: MemRequest) -> Result<(), QueueFull> {
-        let loc = self.mapping.decompose(req.line_addr);
+        self.enqueue_at(req, self.mapping.decompose(req.line_addr))
+    }
+
+    /// [`enqueue`](Channel::enqueue) for a caller that has already
+    /// decomposed the address (the multi-channel router needs the
+    /// location to pick the channel anyway). `loc` must be
+    /// `mapping.decompose(req.line_addr)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueueFull`] when the corresponding queue has no free slot.
+    pub(crate) fn enqueue_at(&mut self, req: MemRequest, loc: Location) -> Result<(), QueueFull> {
+        debug_assert_eq!(loc, self.mapping.decompose(req.line_addr), "stale location");
         debug_assert_eq!(loc.channel, self.index, "request routed to wrong channel");
         match req.kind {
             AccessKind::Read => {
-                if self.write_q.iter().any(|p| p.req.line_addr == req.line_addr) {
+                if self.write_lines.contains(&req.line_addr) {
                     // Forward from the write buffer: data available on chip.
                     self.stats.forwarded_reads += 1;
                     self.completed.push(Completion {
@@ -507,11 +552,10 @@ impl Channel {
                 });
             }
             AccessKind::Write => {
-                if let Some(p) = self
-                    .write_q
-                    .iter_mut()
-                    .find(|p| p.req.line_addr == req.line_addr)
-                {
+                if let Some(i) = self.write_lines.iter().position(|&l| l == req.line_addr) {
+                    // Coalescing keeps the queue's lines and lengths, so
+                    // the acceptance generation stands.
+                    let p = &mut self.write_q[i];
                     p.req = req; // coalesce: latest write wins
                     // The coalesced request may change width, and with
                     // it the sub-bank mask the cache was computed for.
@@ -521,12 +565,16 @@ impl Channel {
                 if !self.can_accept_write() {
                     return Err(QueueFull);
                 }
+                self.write_lines.push(req.line_addr);
                 self.write_q.push(Pending {
                     req,
                     loc,
                     needed_act: false,
                     cache: Default::default(),
                 });
+                // A new line reads can forward from and writes can
+                // coalesce into.
+                self.accept_gen += 1;
             }
         }
         Ok(())
@@ -854,7 +902,9 @@ impl Channel {
         if !served {
             return old;
         }
-        let Some(p) = q.iter().find(|p| p.req.id == req.id) else {
+        // Accepted requests are pushed at the back (a coalesced write
+        // sits where its line was), so search from the back.
+        let Some(p) = q.iter().rev().find(|p| p.req.id == req.id) else {
             return old;
         };
         let starving = req.kind == AccessKind::Read
@@ -1044,8 +1094,9 @@ impl Channel {
     }
 
     /// The index the anti-starvation rule serves exclusively, if any: the
-    /// oldest read (ties broken exactly as `min_by_key`, i.e. the last
-    /// minimal element) once its age exceeds [`STARVATION_AGE`]. The cached
+    /// oldest read (ties broken exactly as `min_by_key`, i.e. the *first*
+    /// minimal element — the earliest-queued of equally old reads) once
+    /// its age exceeds [`STARVATION_AGE`]. The cached
     /// [`read_min_arrival`](Channel::read_min_arrival) answers the common
     /// "nobody is old enough" case in O(1); the index scan runs only once
     /// the age threshold has actually been crossed.
@@ -1160,8 +1211,16 @@ impl Channel {
         // Main walk: CAS and ACT legality (and, with WANT_BOUND, their
         // ready-at bound terms) in one pass. A ready CAS wins outright, so
         // the walk stops there; an ACT candidate is remembered but the CAS
-        // search continues across the rest of the queue.
-        let (cas_idx, act_idx, saw_conflict) = {
+        // search continues across the rest of the queue. The same pass
+        // gathers what the PRE step needs — the row-conflicted candidates
+        // and, unless a read is starving (it bypasses protection), the
+        // row-protection table — so the PRE step never rescans the queue.
+        let protect = starving.is_none();
+        if protect {
+            self.protect_min.fill(u64::MAX);
+        }
+        self.conflicts.clear();
+        let (cas_idx, act_idx) = {
             let q = if writes { &self.write_q } else { &self.read_q };
             let candidates = match starving {
                 Some(i) => i..i + 1,
@@ -1169,7 +1228,6 @@ impl Channel {
             };
             let mut cas_idx = None;
             let mut act_idx = None;
-            let mut saw_conflict = false;
             let banks = self.cfg.banks();
             for i in candidates {
                 let p = &q[i];
@@ -1237,15 +1295,29 @@ impl Channel {
                     }
                 } else {
                     // A different row is open somewhere: ACT is blocked
-                    // until a PRE closes it (the pre walk below).
-                    saw_conflict = true;
+                    // until a PRE closes it (the PRE step below).
+                    self.conflicts.push((i, c));
+                }
+                if protect {
+                    // The sub-banks already holding this candidate's row
+                    // open are protected from younger conflicts.
+                    let slot0 = (c.rank as usize * banks + c.flat_bank as usize) * subranks;
+                    let mut open = c.open_mask();
+                    while open != 0 {
+                        let slot = &mut self.protect_min[slot0 + open.trailing_zeros() as usize];
+                        *slot = (*slot).min(c.arrival);
+                        open &= open - 1;
+                    }
                 }
             }
-            (cas_idx, act_idx, saw_conflict)
+            (cas_idx, act_idx)
         };
 
         if let Some(i) = cas_idx {
+            // A queue slot frees: rejected enqueues may now succeed.
+            self.accept_gen += 1;
             let p = if writes {
+                self.write_lines.remove(i);
                 self.write_q.remove(i)
             } else {
                 let p = self.read_q.remove(i);
@@ -1319,100 +1391,57 @@ impl Channel {
             return (true, 0);
         }
 
-        // PRE walk: for the oldest request blocked by a row conflict — but
+        // PRE step: for the oldest request blocked by a row conflict — but
         // never close a row that still has queued requests (they will become
         // CAS-ready soon; closing them causes open-row thrash when half- and
-        // full-width streams share a bank). Runs only when the main walk saw
-        // a conflict, because only conflicted candidates can contribute a
-        // PRE or a pre-bound term.
-        let pre = if saw_conflict {
-            // Row-protection table: one pass over the served queue makes
-            // each candidate's protection check O(1). Slot (rank, bank, s)
-            // holds the minimum arrival over requests wanting that
-            // sub-bank's currently *open* row; a conflict sub-bank is
-            // protected from candidate `p` exactly when a wanting request
-            // no younger than `p` exists — i.e. slot min <= p's arrival.
-            // (Starving reads bypass protection and skip the build.)
-            if starving.is_none() {
-                let banks = self.cfg.banks();
-                let subranks = self.cfg.subranks;
-                let protect = &mut self.protect_min;
-                protect.iter_mut().for_each(|m| *m = u64::MAX);
-                let q = if writes { &self.write_q } else { &self.read_q };
-                for p in q {
-                    // The main walk refreshed every entry's cache this
-                    // pass (no starving read, so the full queue was
-                    // scanned) and issued nothing since — the masked
-                    // sub-banks holding this entry's row open are exactly
-                    // those in neither the act nor the conflict set.
-                    let c = p.cache.get();
-                    let open = c.mask & !(c.act_mask | c.conflict_mask);
-                    for s in (0..subranks).filter(|s| open & (1 << *s) != 0) {
-                        let slot = &mut protect
-                            [(c.rank as usize * banks + c.flat_bank as usize) * subranks + s];
-                        *slot = (*slot).min(p.req.arrival);
+        // full-width streams share a bank). Only the conflicted candidates
+        // the main walk collected can contribute a PRE or a pre-bound
+        // term. The walk scanned the whole queue (nothing issued, no
+        // starving read) and issued nothing since, so their cached
+        // conflict sets and the protection table are current: a conflict
+        // sub-bank is protected from candidate `c` exactly when a request
+        // wanting its open row is no younger than `c` — slot min <= c's
+        // arrival.
+        let mut pre = None;
+        let banks = self.cfg.banks();
+        for &(i, c) in &self.conflicts {
+            let bank = c.flat_bank as usize;
+            // Entry 0 of the walk table is the bare refresh gate; the
+            // table is still fresh here (the PRE step runs in the same
+            // pass as the fill, with no command issued between).
+            let pre_ready = self.walk_cas[(c.rank as usize) << subranks].max(c.pre_bank);
+            // `pre_ready <= now` implies the rank is not refreshing (the
+            // gate term) and every conflicting sub-bank clears
+            // tRAS/tRTP/tWR — exactly `precharge_mask` returning `Some`.
+            let ready_now = !self.walk_due[c.rank as usize] && pre_ready <= now;
+            if !WANT_BOUND && !ready_now {
+                continue;
+            }
+            // The starving-read override bypasses row protection: an
+            // over-age read may close any row it conflicts with.
+            let mut eff = c.conflict_mask;
+            if protect {
+                let slot0 = (c.rank as usize * banks + bank) * subranks;
+                let mut m = c.conflict_mask;
+                while m != 0 {
+                    let s = m.trailing_zeros();
+                    if self.protect_min[slot0 + s as usize] <= c.arrival {
+                        eff &= !(1 << s);
                     }
+                    m &= m - 1;
                 }
             }
-            let q = if writes { &self.write_q } else { &self.read_q };
-            let candidates = match starving {
-                Some(i) => i..i + 1,
-                None => 0..q.len(),
-            };
-            let banks = self.cfg.banks();
-            let subranks = self.cfg.subranks;
-            let mut found = None;
-            for i in candidates {
-                let p = &q[i];
-                // The main walk above refreshed every scanned candidate's
-                // cache this pass and issued nothing since, so the cached
-                // conflict set is current.
-                let c = p.cache.get();
-                if c.conflict_mask == 0 {
-                    continue;
-                }
-                let bank = c.flat_bank as usize;
-                // Entry 0 of the walk table is the bare refresh gate; the
-                // table is still fresh here (the PRE walk runs in the
-                // same pass as the fill, with no command issued between).
-                let pre_ready = self.walk_cas[(c.rank as usize) << subranks].max(c.pre_bank);
-                // `pre_ready <= now` implies the rank is not refreshing
-                // (the gate term) and every conflicting sub-bank clears
-                // tRAS/tRTP/tWR — exactly `precharge_mask` returning `Some`.
-                let ready_now = !self.walk_due[c.rank as usize] && pre_ready <= now;
-                if !WANT_BOUND && !ready_now {
-                    continue;
-                }
-                // The starving-read override bypasses row protection: an
-                // over-age read may close any row it conflicts with.
-                let eff = if starving.is_some() {
-                    c.conflict_mask
-                } else {
-                    let mut eff = c.conflict_mask;
-                    for s in (0..subranks).filter(|s| c.conflict_mask & (1 << *s) != 0) {
-                        if self.protect_min[(c.rank as usize * banks + bank) * subranks + s]
-                            <= p.req.arrival
-                        {
-                            eff &= !(1 << s);
-                        }
-                    }
-                    eff
-                };
-                if eff == 0 {
-                    continue;
-                }
-                if WANT_BOUND {
-                    bound = bound.min(pre_ready.max(soon));
-                }
-                if ready_now {
-                    found = Some((i, bank, c.rank as usize, eff));
-                    break;
-                }
+            if eff == 0 {
+                continue;
             }
-            found
-        } else {
-            None
-        };
+            if WANT_BOUND {
+                bound = bound.min(pre_ready.max(soon));
+            }
+            if ready_now {
+                pre = Some((i, bank, c.rank as usize, eff));
+                break;
+            }
+        }
 
         if let Some((i, bank, rank_idx, mask)) = pre {
             if trace_enabled() && self.index == 0 {
@@ -1430,5 +1459,38 @@ impl Channel {
             return (true, 0);
         }
         (false, bound)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::{AccessWidth, Origin};
+
+    fn read(id: u64, line_addr: u64, arrival: u64) -> MemRequest {
+        MemRequest {
+            id,
+            line_addr,
+            kind: AccessKind::Read,
+            width: AccessWidth::Full,
+            origin: Origin::Demand { core: 0 },
+            arrival,
+        }
+    }
+
+    #[test]
+    fn starving_read_tie_goes_to_the_earliest_queued() {
+        let mut ch = Channel::new(0, DramConfig::table2(), PowerParams::ddr4_1600());
+        // Channel 0 owns the even lines; ids 2 and 3 tie as the oldest.
+        for (id, arrival) in [(1, 9), (2, 4), (3, 4), (4, 6)] {
+            ch.enqueue(read(id, 2 * id, arrival)).unwrap();
+        }
+        ch.now = 4 + STARVATION_AGE;
+        assert_eq!(ch.starving_read(ch.now), None, "not over age yet");
+        ch.now += 1;
+        let i = ch
+            .starving_read(ch.now)
+            .expect("the oldest read is over age");
+        assert_eq!(ch.read_q[i].req.id, 2, "earliest-queued of the tied reads");
     }
 }

@@ -194,16 +194,62 @@ impl Location {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapping {
     cfg: DramConfig,
+    /// Field widths in bits, LSB first (`channel, col, bank, bank_group,
+    /// rank, row`), when every field's extent is a power of two — then
+    /// each `%`/`/` pair of the mixed-radix decomposition is a mask and a
+    /// shift. `None` keeps the division path for other geometries.
+    bits: Option<[u32; 6]>,
 }
 
 impl AddressMapping {
     /// Creates a mapping for `cfg`.
     pub fn new(cfg: DramConfig) -> Self {
-        Self { cfg }
+        let extents = [
+            cfg.channels,
+            cfg.blocks_per_row,
+            cfg.banks_per_group,
+            cfg.bank_groups,
+            cfg.ranks,
+            cfg.rows,
+        ];
+        let bits = extents
+            .iter()
+            .all(|e| e.is_power_of_two())
+            .then(|| extents.map(|e| e.trailing_zeros()));
+        Self { cfg, bits }
     }
 
     /// Decomposes a block (line) address.
     pub fn decompose(&self, line_addr: u64) -> Location {
+        let Some(bits) = self.bits else {
+            return self.decompose_by_division(line_addr);
+        };
+        let mut a = line_addr;
+        let mut field = |w: u32| {
+            let v = (a & ((1u64 << w) - 1)) as usize;
+            a >>= w;
+            v
+        };
+        let channel = field(bits[0]);
+        let col = field(bits[1]);
+        let bank = field(bits[2]);
+        let bank_group = field(bits[3]);
+        let rank = field(bits[4]);
+        let row = field(bits[5]);
+        Location {
+            channel,
+            rank,
+            bank_group,
+            bank,
+            row,
+            col,
+        }
+    }
+
+    /// The mixed-radix reference decomposition: the general path for
+    /// geometries with a non-power-of-two extent, and the oracle the
+    /// shift/mask path is tested against.
+    fn decompose_by_division(&self, line_addr: u64) -> Location {
         let mut a = line_addr;
         let channel = (a % self.cfg.channels as u64) as usize;
         a /= self.cfg.channels as u64;
@@ -254,6 +300,45 @@ mod tests {
         for addr in [0u64, 1, 2, 127, 128, 12345, 222_222_222, (16 << 30) / 64 - 1] {
             let loc = m.decompose(addr);
             assert_eq!(m.compose(loc), addr, "addr {addr}");
+        }
+    }
+
+    #[test]
+    fn shift_mask_decompose_matches_division_reference() {
+        // Power-of-two geometries take the shift/mask path, the rest the
+        // division path; both must agree with the reference and invert
+        // through `compose` on every in-range address.
+        let mut odd = DramConfig::table2();
+        odd.channels = 3;
+        odd.bank_groups = 3;
+        odd.rows = 1000;
+        let mut one_channel = DramConfig::table2();
+        one_channel.channels = 1;
+        one_channel.ranks = 2;
+        let geometries = [DramConfig::table2(), DramConfig::scale8(), one_channel, odd];
+        let mut g = attache_testkit::Gen::new(0xDEC0_0005);
+        for (i, cfg) in geometries.into_iter().enumerate() {
+            let m = AddressMapping::new(cfg);
+            assert_eq!(m.bits.is_some(), i < 3, "geometry {i} path selection");
+            let lines = cfg.capacity_bytes() / 64;
+            for case in 0..4096 {
+                let addr = match case % 4 {
+                    // Out-of-range addresses wrap in the row field
+                    // identically on both paths.
+                    0 => g.next_u64(),
+                    1 => lines - 1 - g.below(64),
+                    _ => g.below(lines),
+                };
+                let loc = m.decompose(addr);
+                assert_eq!(
+                    loc,
+                    m.decompose_by_division(addr),
+                    "geometry {i} addr {addr}"
+                );
+                if addr < lines {
+                    assert_eq!(m.compose(loc), addr, "geometry {i} addr {addr}");
+                }
+            }
         }
     }
 

@@ -209,8 +209,11 @@ impl MemorySystem {
     ///
     /// Returns [`QueueFull`] when the target channel's queue is full.
     pub fn enqueue(&mut self, req: MemRequest) -> Result<(), QueueFull> {
-        let ch = self.channel_of(req.line_addr);
-        let r = self.channels[ch].enqueue(req);
+        // Decompose once: the location routes the request and rides into
+        // the channel's queue entry.
+        let loc = self.mapping.decompose(req.line_addr);
+        let ch = loc.channel;
+        let r = self.channels[ch].enqueue_at(req, loc);
         if r.is_ok() {
             // Tighten the cached scheduling bound in O(1) instead of
             // invalidating it: the only new opportunities an enqueue can
@@ -359,6 +362,15 @@ impl MemorySystem {
     /// free at CAS-issue time), so it cannot change an enqueue outcome.
     pub fn mutation_gen(&self) -> u64 {
         self.mutation_gen
+    }
+
+    /// The acceptance generation of the channel servicing `req` (see
+    /// [`MemoryBackend::accept_gen`]): bumped only by a CAS that shrinks
+    /// one of its queues, a new write-queue line, or a derate set or
+    /// lift — far rarer than [`mutation_gen`](Self::mutation_gen), which
+    /// also moves on every ACT, PRE, refresh and accepted read.
+    pub fn accept_gen(&self, req: &MemRequest) -> u64 {
+        self.channels[self.channel_of(req.line_addr)].accept_gen()
     }
 
     /// Advances all channels `span` cycles in bulk. The caller must have
@@ -611,6 +623,52 @@ mod tests {
         }
         assert!(rejected, "read queue must eventually reject");
         assert!(!mem.can_accept(0, AccessKind::Read));
+    }
+
+    #[test]
+    fn accept_gen_moves_exactly_when_a_rejection_can_turn() {
+        let mut mem = MemorySystem::new(DramConfig::table2(), PowerParams::ddr4_1600());
+        let cap = mem.config().read_queue_capacity as u64;
+        // Fill channel 0's read queue (even lines); channel 1 is untouched.
+        for i in 0..cap {
+            mem.enqueue(read(i, i * 2, AccessWidth::Full, 0)).unwrap();
+        }
+        let probe = read(100, 1_000, AccessWidth::Full, 0);
+        let other = read(101, 1_001, AccessWidth::Full, 0);
+        assert_eq!(mem.enqueue(probe), Err(QueueFull));
+        let (gen, other_gen) = (mem.accept_gen(&probe), mem.accept_gen(&other));
+        // Growth only tightens acceptance: an accepted read leaves it.
+        mem.enqueue(other).unwrap();
+        assert_eq!(mem.accept_gen(&probe), gen);
+        assert_eq!(mem.accept_gen(&other), other_gen);
+        // A new write-queue line is a forwarding target for the probe.
+        mem.enqueue(write(200, 1_000, AccessWidth::Full, 0))
+            .unwrap();
+        assert_ne!(mem.accept_gen(&probe), gen);
+        assert_eq!(mem.accept_gen(&other), other_gen, "per channel");
+        mem.enqueue(probe).unwrap();
+        assert_eq!(mem.stats().forwarded_reads, 1);
+        // ACTs leave it; the first CAS (a queue slot freeing) moves it.
+        let gen = mem.accept_gen(&probe);
+        while mem.stats().activates == 0 {
+            mem.tick();
+            assert_eq!(mem.accept_gen(&probe), gen, "only an ACT so far");
+        }
+        while mem.queue_depths()[0].0 == cap as usize {
+            mem.tick();
+        }
+        assert_ne!(mem.accept_gen(&probe), gen);
+        // A derate set and its lift both move it.
+        let gen = mem.accept_gen(&probe);
+        let until = mem.now() + 3;
+        mem.fault_derate_reads(1, until);
+        let set = mem.accept_gen(&probe);
+        assert_ne!(set, gen);
+        // The lift runs at the top of the first tick starting at `until`.
+        while mem.now() <= until {
+            mem.tick();
+        }
+        assert_ne!(mem.accept_gen(&probe), set, "the lift at `until`");
     }
 
     #[test]

@@ -41,6 +41,12 @@ pub enum Slot {
         is_write: bool,
         /// Progress state.
         state: MemState,
+        /// Set once an issue pass has stalled on this slot, which proves
+        /// `line` absent from the LLC (hits never stall). It stays absent
+        /// until this core fills it — footprints are disjoint across
+        /// cores — so the mark spares later passes the LLC probe;
+        /// [`Core::forget_known_miss`] clears it on that fill.
+        known_miss: bool,
     },
 }
 
@@ -136,6 +142,7 @@ impl Core {
                 line: self.base_line + ev.line_offset,
                 is_write: ev.is_write,
                 state: MemState::NeedIssue,
+                known_miss: false,
             });
             self.need_issue += 1;
             self.occupancy += 1;
@@ -191,6 +198,24 @@ impl Core {
         }
         self.issue_from = self.issue_from.saturating_sub(pops);
         width - budget
+    }
+
+    /// Clears the known-miss marks on un-issued slots for `line`, which
+    /// this core has just filled into the LLC.
+    pub fn forget_known_miss(&mut self, line: u64) {
+        for slot in self.rob.range_mut(self.issue_from..) {
+            if let Slot::Mem {
+                line: l,
+                state: MemState::NeedIssue,
+                known_miss,
+                ..
+            } = slot
+            {
+                if *l == line {
+                    *known_miss = false;
+                }
+            }
+        }
     }
 
     /// Marks every load waiting on transaction `txn` as ready, without
@@ -255,6 +280,7 @@ mod tests {
             line: 0,
             is_write: false,
             state: MemState::WaitMem(7),
+            known_miss: false,
         });
         c.rob.push_back(Slot::Gap { remaining: 8 });
         c.occupancy = 9;
@@ -271,6 +297,7 @@ mod tests {
             line: 0,
             is_write: true,
             state: MemState::WaitMem(3),
+            known_miss: false,
         });
         c.rob.push_back(Slot::Gap { remaining: 4 });
         c.occupancy = 5;
@@ -284,6 +311,7 @@ mod tests {
             line: 0,
             is_write: true,
             state: MemState::NeedIssue,
+            known_miss: false,
         });
         c.occupancy = 1;
         assert_eq!(c.retire(4), 0);
@@ -296,6 +324,7 @@ mod tests {
             line: 0,
             is_write: false,
             state: MemState::WaitLlc(20),
+            known_miss: false,
         });
         c.occupancy = 1;
         c.cpu_now = 19;

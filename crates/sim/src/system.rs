@@ -104,7 +104,10 @@ pub struct System {
     txns: FastMap<u64, Txn>,
     txn_by_req: FastMap<u64, u64>,
     pending_lines: FastMap<u64, u64>,
-    retry_q: VecDeque<MemRequest>,
+    /// Deferred (queue-full) requests in submission order, each with the
+    /// backend's [`accept_gen`](DramBackend::accept_gen) observed at its
+    /// last rejection.
+    retry_q: VecDeque<(MemRequest, u64)>,
     delayed: BinaryHeap<Reverse<DelayedReq>>,
     /// Reused buffer for [`Strategy::on_read_data`] follow-ups, so the
     /// per-completion fast path allocates nothing. [`ReqSpec`] is `Copy`;
@@ -129,12 +132,13 @@ pub struct System {
     /// flush pass. While unchanged, every retry would be rejected again,
     /// so the pass is skipped.
     flush_gen: u64,
-    /// Generation counter for the state the issue pass reads beyond the
-    /// core's own ROB: LLC contents, retry-queue headroom, and MSHR-
-    /// freeing completions. Bumped (both engines) whenever that state
-    /// changes in a direction that could turn a stalled `NeedIssue` slot
-    /// issuable; cores gate their issue pass on it (see
-    /// [`Core::stall_env_gen`]).
+    /// Generation counter for the one input of a stalled issue pass that
+    /// neither the core's own ROB nor its MSHR count captures: retry-queue
+    /// headroom. Bumped (both engines) whenever the retry queue shrinks;
+    /// cores gate their issue pass on it (see [`Core::stall_env_gen`]).
+    /// LLC contents need no generation: a stalled slot is a proven miss
+    /// (hits never stall), and it stays one until its own core fills the
+    /// line — an issue, which drops that core's snapshot anyway.
     issue_env_gen: u64,
     /// Event engine only: a fault action mutated DRAM state at the tail
     /// of the last executed tick (e.g. a derate overwrite that *raised*
@@ -375,9 +379,11 @@ impl System {
     /// * channels with a future [`next_event`](DramBackend::next_event)
     ///   bound skip their scheduler pass ([`DramBackend::tick_event`]);
     /// * retries are only re-attempted when queue/bank state has mutated
-    ///   since the last pass (`mutation_gen`) — enqueue outcomes are pure
-    ///   functions of that state, so a pass against frozen state is a
-    ///   guaranteed all-fail rotation, i.e. a no-op;
+    ///   since the last pass (`mutation_gen`), and within a pass only the
+    ///   requests whose own channel's acceptance generation moved since
+    ///   their rejection (`accept_gen`) — enqueue outcomes are pure
+    ///   functions of that state, so an attempt against unchanged state
+    ///   is a guaranteed rejection, i.e. a no-op;
     /// * cores sleeping until a cached wake cycle (`core_wake`) skip their
     ///   CPU cycles entirely (each is provably a pure `cpu_now`
     ///   increment). Wakes are invalidated whenever state they depend on
@@ -401,7 +407,7 @@ impl System {
         self.release_delayed();
         if !self.retry_q.is_empty() && self.mem.mutation_gen() != self.flush_gen {
             let before = self.retry_q.len();
-            self.flush_retries();
+            self.flush_retries(true);
             self.flush_gen = self.mem.mutation_gen();
             if self.retry_q.len() < before {
                 self.core_wake.fill(0);
@@ -528,16 +534,22 @@ impl System {
             if let Slot::Mem {
                 line,
                 state: MemState::NeedIssue,
+                known_miss,
                 ..
             } = core.rob[idx]
             {
                 remaining -= 1;
+                debug_assert!(
+                    !(known_miss && self.llc.probe_line(line)),
+                    "stale known miss"
+                );
                 // Headroom first: it is two integer compares, while the
                 // LLC probe walks a set's tags. Both are pure, so the
-                // short-circuit order is free to prefer the cheap one.
+                // short-circuit order is free to prefer the cheap one,
+                // and a proven miss needs no probe at all.
                 if (core.outstanding < core.max_outstanding
                     && self.retry_q.len() < RETRY_CAP)
-                    || self.llc.probe_line(line)
+                    || (!known_miss && self.llc.probe_line(line))
                 {
                     return soon;
                 }
@@ -599,7 +611,7 @@ impl System {
         }
         self.completion_scratch = completions;
         self.release_delayed();
-        self.flush_retries();
+        self.flush_retries(false);
 
         self.cpu_accum += self.cfg.core.cpu_cycles_per_2_bus_cycles;
         while self.cpu_accum >= 2 {
@@ -771,6 +783,7 @@ impl System {
                     line,
                     is_write,
                     state,
+                    known_miss,
                 } = core.rob[idx]
                 else {
                     continue;
@@ -779,13 +792,23 @@ impl System {
                     continue;
                 }
                 remaining -= 1;
-                if let Some(new_state) = self.issue_mem_op(core, line, is_write) {
+                let outstanding = core.outstanding;
+                if let Some(new_state) = self.issue_mem_op(core, line, is_write, known_miss) {
                     if let Slot::Mem { state, .. } = &mut core.rob[idx] {
                         *state = new_state;
                     }
                     core.need_issue -= 1;
-                } else if first_stalled.is_none() {
-                    first_stalled = Some(idx);
+                    if core.outstanding > outstanding {
+                        // A miss issued and filled `line` into the LLC.
+                        core.forget_known_miss(line);
+                    }
+                } else {
+                    // Only a miss stalls (hits always issue): the slot
+                    // is a proven miss.
+                    if let Slot::Mem { known_miss, .. } = &mut core.rob[idx] {
+                        *known_miss = true;
+                    }
+                    first_stalled.get_or_insert(idx);
                 }
             }
             core.issue_from = first_stalled.unwrap_or(core.rob.len());
@@ -807,9 +830,22 @@ impl System {
     }
 
     /// Attempts to issue one memory operation; `None` means "stall, retry
-    /// next cycle".
-    fn issue_mem_op(&mut self, core: &mut Core, line: u64, is_write: bool) -> Option<MemState> {
-        let resident = self.llc.probe_line(line);
+    /// next cycle". `known_miss` skips the LLC probe for a slot an
+    /// earlier pass already proved a miss: per-core footprints are
+    /// disjoint, so only this core can fill `line`, and it clears the
+    /// mark when it does ([`Core::forget_known_miss`]).
+    fn issue_mem_op(
+        &mut self,
+        core: &mut Core,
+        line: u64,
+        is_write: bool,
+        known_miss: bool,
+    ) -> Option<MemState> {
+        debug_assert!(
+            !(known_miss && self.llc.probe_line(line)),
+            "stale known miss"
+        );
+        let resident = !known_miss && self.llc.probe_line(line);
         if resident {
             if is_write {
                 self.backend.record_store(line);
@@ -934,7 +970,8 @@ impl System {
 
     fn try_submit(&mut self, req: MemRequest) {
         if self.mem.enqueue(req).is_err() {
-            self.retry_q.push_back(req);
+            let gen = self.mem.accept_gen(&req);
+            self.retry_q.push_back((req, gen));
         }
     }
 
@@ -949,14 +986,26 @@ impl System {
         }
     }
 
-    fn flush_retries(&mut self) {
+    /// Re-offers every deferred request once, oldest first; the rejected
+    /// keep their order. The per-cycle engine attempts every request
+    /// (`gated == false`, the reference). The event engine skips a request
+    /// whose [`accept_gen`](DramBackend::accept_gen) has not moved since
+    /// its rejection: the attempt would be rejected again and mutate
+    /// nothing, so the queue ends in the same state.
+    fn flush_retries(&mut self, gated: bool) {
         let n = self.retry_q.len();
-        for _ in 0..n {
-            let req = self.retry_q.pop_front().expect("len checked");
-            if self.mem.enqueue(req).is_err() {
-                self.retry_q.push_back(req);
+        let mem = &mut self.mem;
+        self.retry_q.retain_mut(|(req, gen)| {
+            let now_gen = mem.accept_gen(req);
+            if gated && now_gen == *gen {
+                return true;
             }
-        }
+            if mem.enqueue(*req).is_ok() {
+                return false;
+            }
+            *gen = now_gen;
+            true
+        });
         if self.retry_q.len() < n {
             // Retry headroom appeared: stalled issue passes may now accept.
             self.issue_env_gen += 1;
@@ -1004,9 +1053,10 @@ impl System {
     }
 
     fn finish_txn(&mut self, txn_id: u64) {
-        // A finishing transaction frees MSHRs and clears its pending
-        // line: stalled issue passes must re-run.
-        self.issue_env_gen += 1;
+        // A freed MSHR reopens a stalled issue pass through the core's
+        // own `stall_outstanding` snapshot, and a cleared pending line
+        // only changes how a *hit* issues — hits never stall — so no
+        // issue-environment bump is needed here.
         let txn = self.txns.remove(&txn_id).expect("transaction exists");
         if self.pending_lines.get(&txn.line) == Some(&txn_id) {
             self.pending_lines.remove(&txn.line);

@@ -5,7 +5,9 @@
 //! This is the contract that lets every figure binary default to the event
 //! engine: it is purely a wall-clock optimization, never a model change.
 
-use attache_sim::{BackendKind, EngineKind, MetadataStrategyKind, SimConfig, System};
+use attache_sim::{
+    BackendKind, EngineKind, FaultClass, FaultPlan, MetadataStrategyKind, SimConfig, System,
+};
 use attache_workloads::{mixes, AccessPattern, Category, DataProfile, Profile, Suite};
 
 const STRATEGIES: [MetadataStrategyKind; MetadataStrategyKind::ALL.len()] =
@@ -119,6 +121,56 @@ fn engines_agree_on_the_fast_backend_all_strategies() {
             event.energy.total_pj().to_bits(),
             "fast-backend energy bits disagree for {s}"
         );
+    }
+}
+
+#[test]
+fn engines_agree_under_a_deep_retry_backlog_with_derate_windows() {
+    // A 4-entry read queue keeps hundreds of requests in the retry queue,
+    // so nearly every retry pass runs against a full channel, and
+    // read-derate windows set and lift the cap mid-run. The event engine
+    // skips each retry whose channel's acceptance generation has not
+    // moved since its rejection; a missed bump (a CAS, a new write-queue
+    // line, a derate set or expiry) would accept some retry later than
+    // the per-cycle engine, which re-offers every retry every cycle.
+    let mut plan = FaultPlan::new(0xDE7_A7E5);
+    plan.classes = vec![FaultClass::BusDerate];
+    plan.period = 1_500;
+    for backend in [BackendKind::Cycle, BackendKind::Fast] {
+        for s in STRATEGIES {
+            let mut cfg = quick(s)
+                .with_backend(backend)
+                .with_faults(Some(plan.clone()));
+            cfg.dram.read_queue_capacity = 4;
+            cfg.engine = EngineKind::Cycle;
+            let cycle = System::run_rate_mode(&cfg, Profile::rand(), 41);
+            cfg.engine = EngineKind::Event;
+            let event = System::run_rate_mode(&cfg, Profile::rand(), 41);
+            assert_eq!(
+                cycle, event,
+                "engines disagree for {s} on the {backend} backend"
+            );
+            assert_eq!(
+                cycle.energy.total_pj().to_bits(),
+                event.energy.total_pj().to_bits(),
+                "energy bits disagree for {s} on the {backend} backend"
+            );
+            // Non-vacuity: the derate windows and the shrunken queue both
+            // change the run.
+            let no_derate =
+                System::run_rate_mode(&cfg.clone().with_faults(None), Profile::rand(), 41);
+            assert_ne!(
+                event, no_derate,
+                "derate windows never bit for {s} on {backend}"
+            );
+            let mut roomy = cfg.clone().with_faults(None);
+            roomy.dram.read_queue_capacity = quick(s).dram.read_queue_capacity;
+            let roomy = System::run_rate_mode(&roomy, Profile::rand(), 41);
+            assert!(
+                no_derate.bus_cycles > roomy.bus_cycles,
+                "a 4-entry read queue must slow {s} on {backend}"
+            );
+        }
     }
 }
 

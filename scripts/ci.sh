@@ -181,17 +181,21 @@ cargo test -q -p attache-compress --release
 echo "=== compression equivalence: goldens with the memo disabled ==="
 ATTACHE_COMPRESS_MEMO=0 cargo test -q -p attache-sim --release --test golden_stats
 
-echo "=== cargo clippy (attache-compress) -- -D warnings ==="
-cargo clippy -p attache-compress --all-targets -- -D warnings
-
+# One workspace-wide clippy pass covers every crate, compress, testkit
+# and metrics included.
 echo "=== cargo clippy -- -D warnings ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "=== cargo clippy (attache-testkit) -- -D warnings ==="
-cargo clippy -p attache-testkit --all-targets -- -D warnings
+# The repository benchmark is its own package (attache_benchmark/, with
+# an empty [workspace] table), so the workspace passes above never build
+# or test it: run its unit and integration tests, then one --smoke pass
+# of every workload in both modes into the throwaway directory.
+echo "=== repository benchmark: tests ==="
+cargo test -q --release --offline --manifest-path attache_benchmark/Cargo.toml
 
-echo "=== cargo clippy (attache-metrics) -- -D warnings ==="
-cargo clippy -p attache-metrics --all-targets -- -D warnings
+echo "=== repository benchmark: --smoke ==="
+cargo run -q --release --offline --manifest-path attache_benchmark/Cargo.toml -- \
+    --smoke --out-dir "$SMOKE_DIR/benchmark"
 
 # Benchmark smoke: the reduced-tick bench pass appends a dated row to
 # results/BENCH_trajectory.tsv and refreshes BENCH_*.json, so every PR
