@@ -10,9 +10,9 @@
 //! oracle stays attached throughout, so a run that silently consumed
 //! poisoned data would abort rather than report. Before any sweep
 //! numbers are written, a determinism preamble asserts the armed
-//! configuration is bit-identical across the cycle/event engines and
-//! across shard counts — one swapped read would re-key every
-//! subsequent soft error, so this is the canary for the whole model.
+//! configuration is bit-identical across the cycle/event engines — one
+//! swapped read would re-key every subsequent soft error, so this is
+//! the canary for the whole model.
 //!
 //! Output: `<results>/BENCH_integrity.json` plus a dated section row in
 //! `<results>/BENCH_trajectory.tsv`. Run via `scripts/bench.sh` or
@@ -77,8 +77,8 @@ fn main() {
     let base = base_config(&ec);
 
     // Determinism preamble: the armed configuration must be
-    // bit-identical across engines and shard counts before any of its
-    // numbers are worth writing down.
+    // bit-identical across engines before any of its numbers are worth
+    // writing down.
     let armed = base
         .clone()
         .with_strategy(MetadataStrategyKind::Attache)
@@ -90,17 +90,16 @@ fn main() {
         soak_profile(),
         ec.seed,
     );
-    for (label, cfg) in [
-        ("event engine", armed.clone().with_engine(EngineKind::Event)),
-        ("2 shards", armed.clone().with_shards(2)),
-    ] {
-        let run = System::run_rate_mode(&cfg, soak_profile(), ec.seed);
-        assert_eq!(
-            reference, run,
-            "{label}: armed integrity run diverged from the cycle/serial reference"
-        );
-    }
-    println!("determinism: engine and shard axes bit-identical under armed integrity knobs");
+    let event = System::run_rate_mode(
+        &armed.with_engine(EngineKind::Event),
+        soak_profile(),
+        ec.seed,
+    );
+    assert_eq!(
+        reference, event,
+        "event engine: armed integrity run diverged from the cycle reference"
+    );
+    println!("determinism: engines bit-identical under armed integrity knobs");
     println!(
         "{:<14} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8}",
         "strategy", "ber_ppm", "corr/kRd", "uncor/MRd", "recovered", "data_loss", "silent/kRd", "amp"

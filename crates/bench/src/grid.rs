@@ -293,30 +293,22 @@ impl JobSpec {
     }
 
     /// The canonical cache key: format version + run length + base seed +
-    /// backend + shard count + identity. Changing any of these must miss
-    /// the cache. The backend and shard markers are appended only when
-    /// they deviate from the serial cycle reference, so every cache
-    /// entry written before those axes existed stays valid — and, in
-    /// particular, a serial run and an `ATTACHE_SHARDS=1` run share
-    /// entries byte-for-byte (pinned by `tests/determinism.rs`).
+    /// backend + identity. Changing any of these must miss the cache. The
+    /// backend marker is appended only when it deviates from the cycle
+    /// reference, so every cache entry written before that axis existed
+    /// stays valid (the literal key is pinned by `tests/determinism.rs`).
     pub fn cache_key(&self, cfg: &ExperimentConfig) -> String {
         let backend = match cfg.backend {
             attache_sim::BackendKind::Cycle => "",
             attache_sim::BackendKind::Fast => "|b:fast",
         };
-        let shards = if cfg.shards > 1 {
-            format!("|sh:{}", cfg.shards)
-        } else {
-            String::new()
-        };
         format!(
-            "{}|i{}|w{}|s{}{}{}|{}",
+            "{}|i{}|w{}|s{}{}|{}",
             report_io::FORMAT_VERSION,
             cfg.instructions,
             cfg.warmup,
             cfg.seed,
             backend,
-            shards,
             self.identity()
         )
     }
@@ -598,7 +590,6 @@ mod tests {
             warmup: 2_000,
             seed: 42,
             backend: BackendKind::Cycle,
-            shards: 1,
         }
     }
 
@@ -641,7 +632,6 @@ mod tests {
             warmup: 0,
             seed: 42,
             backend: BackendKind::Cycle,
-            shards: 1,
         };
         let report = job.execute(&base);
         let dir = std::env::temp_dir().join(format!(
@@ -657,11 +647,10 @@ mod tests {
             "identical config must hit the memo (report roundtrips bit-exactly)"
         );
         for changed in [
-            ExperimentConfig { instructions: 600, warmup: 0, seed: 42, backend: BackendKind::Cycle, shards: 1 },
-            ExperimentConfig { instructions: 300, warmup: 100, seed: 42, backend: BackendKind::Cycle, shards: 1 },
-            ExperimentConfig { instructions: 300, warmup: 0, seed: 43, backend: BackendKind::Cycle, shards: 1 },
-            ExperimentConfig { instructions: 300, warmup: 0, seed: 42, backend: BackendKind::Fast, shards: 1 },
-            ExperimentConfig { instructions: 300, warmup: 0, seed: 42, backend: BackendKind::Cycle, shards: 2 },
+            ExperimentConfig { instructions: 600, warmup: 0, seed: 42, backend: BackendKind::Cycle },
+            ExperimentConfig { instructions: 300, warmup: 100, seed: 42, backend: BackendKind::Cycle },
+            ExperimentConfig { instructions: 300, warmup: 0, seed: 43, backend: BackendKind::Cycle },
+            ExperimentConfig { instructions: 300, warmup: 0, seed: 42, backend: BackendKind::Fast },
         ] {
             let changed_key = job.cache_key(&changed);
             assert_ne!(key, changed_key, "config change must change the key");

@@ -15,7 +15,7 @@
 //!   docs/BACKENDS.md). An unknown value warns and falls back to the
 //!   cycle reference — it must never kill a sweep mid-grid.
 
-use attache_sim::{backend_from_env, env_u64, shards_from_env, BackendKind, SimConfig};
+use attache_sim::{backend_from_env, env_u64, BackendKind, SimConfig};
 use std::path::PathBuf;
 
 /// Harness-level configuration, read from the environment.
@@ -31,11 +31,6 @@ pub struct ExperimentConfig {
     /// identity: a fast-model report must never satisfy a cycle-model
     /// cache probe.
     pub backend: BackendKind,
-    /// Channel shards for the cycle backend (`ATTACHE_SHARDS`, default
-    /// `1`). Sharded results are bit-identical to serial, so this is
-    /// *not* part of a job's identity at the default — `1` leaves tags
-    /// and cache keys byte-for-byte unchanged.
-    pub shards: usize,
 }
 
 impl ExperimentConfig {
@@ -47,7 +42,6 @@ impl ExperimentConfig {
                 warmup: env_u64("ATTACHE_WARMUP", 8_000),
                 seed: env_u64("ATTACHE_SEED", 42),
                 backend: backend_from_env(),
-                shards: shards_from_env(),
             };
         }
         Self {
@@ -55,7 +49,6 @@ impl ExperimentConfig {
             warmup: env_u64("ATTACHE_WARMUP", 100_000),
             seed: env_u64("ATTACHE_SEED", 42),
             backend: backend_from_env(),
-            shards: shards_from_env(),
         }
     }
 
@@ -64,24 +57,16 @@ impl ExperimentConfig {
         SimConfig::table2_baseline()
             .with_instructions(self.instructions, self.warmup)
             .with_backend(self.backend)
-            .with_shards(self.shards)
     }
 
     /// A short tag identifying this configuration in cache file names.
-    /// The backend and shard markers appear only when they deviate from
-    /// the serial cycle reference, so pre-existing exports keep their
-    /// names (and, because sharding is bit-identical, a `_sh<n>` suffix
-    /// only labels *how* a file was produced, never different numbers).
+    /// The backend marker appears only when it deviates from the cycle
+    /// reference, so pre-existing exports keep their names.
     pub fn tag(&self) -> String {
         let base = format!("i{}_w{}_s{}", self.instructions, self.warmup, self.seed);
-        let base = match self.backend {
+        match self.backend {
             BackendKind::Cycle => base,
             BackendKind::Fast => format!("{base}_bfast"),
-        };
-        if self.shards > 1 {
-            format!("{base}_sh{}", self.shards)
-        } else {
-            base
         }
     }
 
@@ -144,31 +129,11 @@ mod tests {
             warmup: 2_000,
             seed: 42,
             backend: BackendKind::Cycle,
-            shards: 1,
         };
         assert_eq!(ec.tag(), "i10000_w2000_s42");
         ec.backend = BackendKind::Fast;
         assert_eq!(ec.tag(), "i10000_w2000_s42_bfast");
         assert_eq!(ec.sim_config().backend, BackendKind::Fast);
-    }
-
-    #[test]
-    fn tag_marks_only_non_serial_shard_counts() {
-        // Sharded runs are bit-identical, so shards=1 must leave the tag
-        // byte-for-byte unchanged; a threaded run is labeled.
-        let mut ec = ExperimentConfig {
-            instructions: 10_000,
-            warmup: 2_000,
-            seed: 42,
-            backend: BackendKind::Cycle,
-            shards: 1,
-        };
-        assert_eq!(ec.tag(), "i10000_w2000_s42");
-        ec.shards = 4;
-        assert_eq!(ec.tag(), "i10000_w2000_s42_sh4");
-        assert_eq!(ec.sim_config().shards, 4);
-        ec.backend = BackendKind::Fast;
-        assert_eq!(ec.tag(), "i10000_w2000_s42_bfast_sh4");
     }
 
     #[test]

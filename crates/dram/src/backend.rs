@@ -287,35 +287,13 @@ pub trait MemoryBackend: Send + std::fmt::Debug {
     }
 }
 
-/// Constructs the backend selected by `kind` (serial execution — one
-/// shard). See [`new_backend_with_shards`] for the threaded variant.
+/// Constructs the backend selected by `kind`.
 pub fn new_backend(
     kind: BackendKind,
     cfg: DramConfig,
     power: PowerParams,
 ) -> Box<dyn MemoryBackend> {
-    new_backend_with_shards(kind, cfg, power, 1)
-}
-
-/// Constructs the backend selected by `kind`, sharding the cycle model's
-/// channels across `shards` worker threads (the `ATTACHE_SHARDS` axis).
-///
-/// Sharding is an execution strategy, not a timing model: the sharded
-/// cycle backend is bit-identical to the serial one, so `shards` values
-/// that cannot help fall back to serial execution silently —
-/// `shards <= 1`, a single-channel configuration, or the fast backend
-/// (whose whole-model work per tick is too small to amortize a
-/// rendezvous) all construct exactly what [`new_backend`] does.
-pub fn new_backend_with_shards(
-    kind: BackendKind,
-    cfg: DramConfig,
-    power: PowerParams,
-    shards: usize,
-) -> Box<dyn MemoryBackend> {
     match kind {
-        BackendKind::Cycle if shards > 1 && cfg.channels > 1 => {
-            Box::new(crate::ShardedMemory::new(cfg, power, shards))
-        }
         BackendKind::Cycle => Box::new(crate::MemorySystem::new(cfg, power)),
         BackendKind::Fast => Box::new(crate::FastMemory::new(cfg, power)),
     }

@@ -131,8 +131,7 @@ impl DramConfig {
 
     /// The production-scale memory system the ROADMAP targets: Table II
     /// widened to 8 channels (the per-channel geometry, sub-ranking and
-    /// timing are unchanged). This is the configuration the channel
-    /// sharding ([`crate::ShardedMemory`]) exists to make tractable.
+    /// timing are unchanged).
     pub fn scale8() -> Self {
         Self {
             channels: 8,

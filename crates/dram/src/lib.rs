@@ -41,13 +41,9 @@ pub mod power;
 pub mod rank;
 pub mod referee;
 pub mod request;
-pub mod shard;
 pub mod soft_error;
 
-pub use backend::{
-    new_backend, new_backend_with_shards, BackendKind, MemoryBackend, UnknownBackend,
-};
-pub use shard::ShardedMemory;
+pub use backend::{new_backend, BackendKind, MemoryBackend, UnknownBackend};
 pub use channel::{Channel, ChannelStats, QueueFull};
 pub use ecc::{decode_line, encode_line, LineDecode, WordDecode};
 pub use soft_error::SoftErrorProcess;

@@ -7,8 +7,7 @@
 //!   at *touch* time — every read or scrub of a line advances a global
 //!   touch counter, and whether that touch deposits a flip (and where)
 //!   is a pure function of `(seed, line, touch ordinal)`. Because both
-//!   engines, all backends and every shard count replay the identical
-//!   touch sequence, the error process is bit-identical everywhere the
+//!   engines and all backends replay the identical touch sequence, the error process is bit-identical everywhere the
 //!   request stream is.
 //! * **Sticky cells** (weak/stuck cells): a pure function of
 //!   `(seed, line)` with rate one-eighth of the transient rate. A sticky

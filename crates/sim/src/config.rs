@@ -269,13 +269,6 @@ pub struct SimConfig {
     /// (`ATTACHE_SCRUB=<cycles>`, unset/`0` = no scrub): every period,
     /// an idle controller walks one line, correcting what SEC-DED can.
     pub scrub_period: Option<u64>,
-    /// Channel shards for the cycle backend (`ATTACHE_SHARDS=<n>`,
-    /// unset/`0`/`1` = serial): the DRAM channels are partitioned across
-    /// `n` worker threads that rendezvous at every executed tick.
-    /// Results are **bit-identical** to the serial run for any value
-    /// (pinned by `crates/sim/tests/sharded.rs`) — the knob trades
-    /// wall-clock only, so it is absent from cache keys at the default.
-    pub shards: usize,
 }
 
 impl SimConfig {
@@ -306,7 +299,6 @@ impl SimConfig {
             ber_ppm: crate::env::env_u64_opt("ATTACHE_BER"),
             ecc: ecc_from_env(),
             scrub_period: crate::env::env_u64_opt("ATTACHE_SCRUB"),
-            shards: shards_from_env(),
         }
     }
 
@@ -321,9 +313,7 @@ impl SimConfig {
     /// The production-scale configuration the ROADMAP targets: 8 DRAM
     /// channels ([`DramConfig::scale8`]) fed by 64 cores
     /// ([`CoreConfig::scale64`]), with every run control inherited from
-    /// [`table2_baseline`](SimConfig::table2_baseline). This is the
-    /// profile the sharded executor exists for — at 8 channels a
-    /// single-threaded run is the wall-clock ceiling.
+    /// [`table2_baseline`](SimConfig::table2_baseline).
     pub fn scale8_baseline() -> Self {
         let mut cfg = Self::table2_baseline();
         cfg.core = CoreConfig::scale64();
@@ -401,13 +391,6 @@ impl SimConfig {
         self
     }
 
-    /// Same configuration with an explicit shard count (overriding
-    /// whatever `ATTACHE_SHARDS` selected; `1` = serial execution).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Same configuration with an explicit soft-error rate in ppm of
     /// line-touches (overriding whatever `ATTACHE_BER` selected; `None`
     /// disables soft errors).
@@ -430,19 +413,6 @@ impl SimConfig {
         self.scrub_period = period.filter(|&p| p > 0);
         self
     }
-}
-
-/// Reads `ATTACHE_SHARDS`: the channel-shard count for the cycle
-/// backend. Unset, empty, `0` and `1` all select serial execution;
-/// unparsable values warn on stderr (via [`crate::env::env_u64_opt`])
-/// and fall back to serial, never panic. Deliberately *not* cached in a
-/// `OnceLock`: sharding is bit-identity-pinned, and tests toggle the
-/// variable between config constructions.
-pub fn shards_from_env() -> usize {
-    crate::env::env_u64_opt("ATTACHE_SHARDS")
-        .map(|n| n as usize)
-        .unwrap_or(1)
-        .max(1)
 }
 
 /// Reads `ATTACHE_MIRROR`: any non-empty value other than `0` enables the

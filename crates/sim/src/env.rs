@@ -50,7 +50,6 @@ pub const KNOWN_KNOBS: &[&str] = &[
     "ATTACHE_RESUME",
     "ATTACHE_SCRUB",
     "ATTACHE_SEED",
-    "ATTACHE_SHARDS",
     "ATTACHE_TRACE",
     "ATTACHE_TRACE_RING",
     "ATTACHE_WARMUP",

@@ -37,8 +37,8 @@ pub mod system;
 
 pub use attache_dram::BackendKind;
 pub use config::{
-    backend_from_env, backend_from_env_value, shards_from_env, CoreConfig, EngineKind,
-    MetadataStrategyKind, SimConfig,
+    backend_from_env, backend_from_env_value, CoreConfig, EngineKind, MetadataStrategyKind,
+    SimConfig,
 };
 pub use env::{env_u64, env_u64_opt, unknown_knobs, KNOWN_KNOBS};
 pub use faults::{FaultClass, FaultCounters, FaultPlan, FaultStats, TickBudgetExceeded};

@@ -269,8 +269,7 @@ impl System {
             strategy.enable_integrity(seed, cfg.ber_ppm.unwrap_or(0), cfg.ecc);
         }
         let observer = Observer::from_config(cfg);
-        let mut mem =
-            attache_dram::new_backend_with_shards(cfg.backend, cfg.dram, cfg.power, cfg.shards);
+        let mut mem = attache_dram::new_backend(cfg.backend, cfg.dram, cfg.power);
         if let Some(ring) = observer.as_ref().and_then(|o| o.ring.clone()) {
             strategy.set_trace(ring.clone());
             mem.set_trace(ring);

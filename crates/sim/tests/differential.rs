@@ -195,45 +195,41 @@ fn cycle_backend_behind_the_trait_is_bit_identical() {
 }
 
 #[test]
-fn engines_agree_under_sharded_execution_all_strategies() {
-    // Sharded-execution satellite: the engine contract must hold while
-    // the cycle backend runs its channels on four worker shards. The
-    // DRAM geometry is widened to 8 channels so shards=4 is genuine —
-    // table2's 2 channels would clamp it to 2 — and the event engine's
-    // horizon math has to agree with the facade's merged min-bound.
+fn engines_agree_on_eight_channels_all_strategies() {
+    // The engine contract on the 8-channel geometry: with four times
+    // table2's channels, the event engine's horizon is the minimum over
+    // many more per-channel bounds, and every one of them must be exact.
     for s in STRATEGIES {
-        let mut cfg = quick(s).with_shards(4);
+        let mut cfg = quick(s);
         cfg.dram = attache_dram::DramConfig::scale8();
         cfg.engine = EngineKind::Cycle;
         let cycle = System::run_rate_mode(&cfg, Profile::rand(), 37);
         cfg.engine = EngineKind::Event;
         let event = System::run_rate_mode(&cfg, Profile::rand(), 37);
-        assert_eq!(cycle, event, "engines disagree under 4-way sharding for {s}");
+        assert_eq!(cycle, event, "engines disagree on 8 channels for {s}");
         assert_eq!(
             cycle.energy.total_pj().to_bits(),
             event.energy.total_pj().to_bits(),
-            "sharded energy bits disagree for {s}"
+            "8-channel energy bits disagree for {s}"
         );
     }
 }
 
 #[test]
-fn event_engine_stops_on_the_target_tick_when_sharded() {
-    // The deep-warm-up stop-tick regression, replayed at shards=4: the
-    // boundary tick that reaches the retirement target is followed by a
-    // quiescent span, and the facade's min-bound (the smallest bound
-    // over all shards, folded with owed no-op flushes) must not let the
-    // event engine overshoot it any more than the serial backend does.
+fn event_engine_stops_on_the_target_tick_on_eight_channels() {
+    // The deep-warm-up stop-tick regression on the 8-channel geometry:
+    // the boundary tick that reaches the retirement target is followed
+    // by a quiescent span, and the smallest bound over all eight
+    // channels must not let the event engine overshoot it.
     let mut cfg = SimConfig::table2_baseline()
         .with_strategy(MetadataStrategyKind::Baseline)
-        .with_instructions(6_000, 8_000)
-        .with_shards(4);
+        .with_instructions(6_000, 8_000);
     cfg.dram = attache_dram::DramConfig::scale8();
     cfg.engine = EngineKind::Cycle;
     let cycle = System::run_rate_mode(&cfg, Profile::chase(), 42);
     cfg.engine = EngineKind::Event;
     let event = System::run_rate_mode(&cfg, Profile::chase(), 42);
-    assert_eq!(cycle, event, "engines disagree across a sharded deep warm-up");
+    assert_eq!(cycle, event, "engines disagree across an 8-channel deep warm-up");
 }
 
 #[test]

@@ -189,10 +189,15 @@ fn unknown_knob_classifier_flags_typos_only() {
         "PATH",            // not our namespace
         "ATTACHEMENT",     // no underscore — not our namespace
         "ATTACHE_NEW_KNOB_NOBODY_READS",
+        "ATTACHE_SHARDS",  // removed knob: a stale export must warn, not panic
     ];
     assert_eq!(
         unknown_knobs(names),
-        vec!["ATTACHE_EPOC".to_string(), "ATTACHE_NEW_KNOB_NOBODY_READS".to_string()]
+        vec![
+            "ATTACHE_EPOC".to_string(),
+            "ATTACHE_NEW_KNOB_NOBODY_READS".to_string(),
+            "ATTACHE_SHARDS".to_string(),
+        ]
     );
     // Every registered knob classifies as known.
     assert!(unknown_knobs(KNOWN_KNOBS.iter().copied()).is_empty());

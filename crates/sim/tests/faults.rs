@@ -288,75 +288,73 @@ fn faults_off_is_pure() {
 }
 
 #[test]
-fn fault_schedule_is_shard_invariant_for_every_class() {
-    // Sharded-execution satellite: with the channels split across two
-    // worker shards, injections land inside worker-owned channels and
-    // derate windows are broadcast at horizon edges — yet the merged
-    // report AND the per-class fault accounting must be byte-identical
-    // to the serial run. The period is tightened and the check runs
-    // under BOTH metadata-bearing strategies (`mc_invalidate` needs the
-    // Metadata-Cache strategy's structure; the BLEM/RA/key classes need
-    // Attaché's) so that, across the union, all seven classes actually
-    // fire on a sharded run — the counters-merge check would be vacuous
-    // for a class that never injected.
+fn fault_schedule_is_engine_invariant_for_every_class() {
+    // The per-class form of the engine contract: the period is
+    // tightened and the check runs under BOTH metadata-bearing
+    // strategies (`mc_invalidate` needs the Metadata-Cache strategy's
+    // structure; the BLEM/RA/key classes need Attaché's) so that, across
+    // the union, all seven classes actually fire — the per-class
+    // accounting check would be vacuous for a class that never injected.
     let plan = FaultPlan {
         seed: 0xC0FFEE,
         period: 200,
         classes: FaultClass::ALL.to_vec(),
         max: None,
     };
-    let mut injected_sharded = [0u64; 7];
+    let mut injected = [0u64; 7];
     for strategy in [
         MetadataStrategyKind::Attache,
         MetadataStrategyKind::MetadataCache,
     ] {
+        let mut results = Vec::new();
         for engine in ENGINES {
-            let mut results = Vec::new();
-            for shards in [1usize, 2] {
-                let cfg = chaos_config(engine)
-                    .with_strategy(strategy)
-                    .with_instructions(8_000, 0)
-                    .with_faults(Some(plan.clone()))
-                    .with_shards(shards);
-                let (report, obs) = System::run_rate_mode_observed(&cfg, chaos_profile(), 11);
-                let reg = obs.expect("trace ring arms the observer").registry;
-                let counters: Vec<_> = FaultClass::ALL
-                    .into_iter()
-                    .map(|c| (c, fault_counters(&reg, c)))
-                    .collect();
-                results.push((report, counters));
-            }
-            assert_eq!(
-                results[0].0, results[1].0,
-                "{strategy} {engine:?}: sharded chaos run diverged from serial"
-            );
-            assert_eq!(
-                results[0].1, results[1].1,
-                "{strategy} {engine:?}: per-class fault accounting did not merge \
-                 deterministically"
-            );
-            for (i, (_, c)) in results[1].1.iter().enumerate() {
-                injected_sharded[i] += c[0];
-            }
+            let cfg = chaos_config(engine)
+                .with_strategy(strategy)
+                .with_instructions(8_000, 0)
+                .with_faults(Some(plan.clone()));
+            let (report, obs) = System::run_rate_mode_observed(&cfg, chaos_profile(), 11);
+            let reg = obs.expect("trace ring arms the observer").registry;
+            let counters: Vec<_> = FaultClass::ALL
+                .into_iter()
+                .map(|c| (c, fault_counters(&reg, c)))
+                .collect();
+            results.push((report, counters));
+        }
+        assert_eq!(
+            results[0].0, results[1].0,
+            "{strategy}: chaos run diverged across engines"
+        );
+        assert_eq!(
+            results[0].1, results[1].1,
+            "{strategy}: per-class fault accounting diverged across engines"
+        );
+        for (i, (_, c)) in results[0].1.iter().enumerate() {
+            injected[i] += c[0];
         }
     }
     for (i, class) in FaultClass::ALL.into_iter().enumerate() {
-        assert!(
-            injected_sharded[i] > 0,
-            "{class} never injected on any sharded run"
-        );
+        assert!(injected[i] > 0, "{class} never injected");
     }
 }
 
 #[test]
-fn pinned_cross_shard_key_swap_is_attributed_identically() {
-    // The shrunk corpus schedule from the sharded battery
-    // (tests/corpus/sharded-key-swap.case), replayed here for the
-    // accounting contract: a scrambler key swap applied at a horizon
-    // edge touches lines owned by BOTH shards, and every detection the
-    // oracle makes must merge into the same per-class counters the
-    // serial run reports — attributed to key_swap and nothing else.
-    let case = CorpusCase::load("sharded-key-swap");
+fn pinned_key_swap_at_horizon_edges_is_attributed_identically() {
+    // The pinned key-swap schedule (tests/corpus/key-swap-horizon.case),
+    // replayed once per engine for the accounting contract: a scrambler
+    // key swap that lands at an event-engine horizon edge must be applied
+    // at the same executed tick as on the cycle engine, and every
+    // detection the oracle makes must land in the same per-class
+    // counters — attributed to key_swap and nothing else.
+    let case = CorpusCase::load("key-swap-horizon");
+    let key_swap_bit = FaultClass::ALL
+        .iter()
+        .position(|c| *c == FaultClass::KeySwap)
+        .expect("key_swap is a fault class");
+    assert_eq!(
+        case.require("classes"),
+        1 << key_swap_bit,
+        "the pinned schedule is key swaps only"
+    );
     let plan = FaultPlan {
         seed: case.require("plan-seed"),
         period: case.require("period"),
@@ -364,10 +362,10 @@ fn pinned_cross_shard_key_swap_is_attributed_identically() {
         max: None,
     };
     let mut results = Vec::new();
-    for shards in [1usize, 2] {
-        let mut cfg = chaos_config(EngineKind::Event)
+    for engine in ENGINES {
+        let mut cfg = chaos_config(engine)
             .with_faults(Some(plan.clone()))
-            .with_shards(shards);
+            .with_epoch(Some(case.require("epoch")));
         cfg.cid_bits = 6;
         let (report, obs) =
             System::run_rate_mode_observed(&cfg, chaos_profile(), case.require("run-seed"));
@@ -382,14 +380,14 @@ fn pinned_cross_shard_key_swap_is_attributed_identically() {
             others
         }));
     }
-    assert_eq!(results[0].0, results[1].0, "key-swap run diverged under sharding");
+    assert_eq!(results[0].0, results[1].0, "key-swap run diverged across engines");
     assert_eq!(
         results[0].1, results[1].1,
-        "key_swap accounting did not merge deterministically"
+        "key_swap accounting diverged across engines"
     );
     let [inj, _, _, undet] = results[1].1;
     assert!(inj > 0, "the pinned schedule must inject key swaps");
-    assert_eq!(undet, 0, "no key swap may escape the oracle on a sharded run");
+    assert_eq!(undet, 0, "no key swap may escape the oracle");
     for others in [&results[0].2, &results[1].2] {
         assert!(
             others.iter().all(|c| *c == [0u64; 4]),

@@ -94,31 +94,26 @@ fn integrity_off_is_pure() {
     // explicitly disarming every knob is byte-identical to a config
     // that never mentioned integrity (no engine is constructed), the
     // report carries no integrity section, and its serialization emits
-    // not a single new key — across both engines, both backends, and a
-    // sharded run.
+    // not a single new key — across both engines and both backends.
     for engine in ENGINES {
         for backend in [BackendKind::Cycle, BackendKind::Fast] {
-            for shards in [1usize, 2] {
-                let base = soak_config(engine)
-                    .with_backend(backend)
-                    .with_shards(shards)
-                    .with_strategy(MetadataStrategyKind::Attache);
-                let off = base
-                    .clone()
-                    .with_ber(None)
-                    .with_ecc(false)
-                    .with_scrub(None);
-                let a = System::run_rate_mode(&base, soak_profile(), 5);
-                let b = System::run_rate_mode(&off, soak_profile(), 5);
-                assert_eq!(a, b, "{engine:?} {backend:?} x{shards}: disarmed knobs must be a no-op");
-                assert!(a.integrity.is_none(), "no engine may exist with knobs off");
-                let text = attache_sim::report_io::to_text(&a, "k");
-                assert!(
-                    !text.contains("integrity.") && !text.contains("scrub_reads"),
-                    "{engine:?} {backend:?} x{shards}: integrity-off reports must serialize \
-                     without new keys"
-                );
-            }
+            let base = soak_config(engine)
+                .with_backend(backend)
+                .with_strategy(MetadataStrategyKind::Attache);
+            let off = base
+                .clone()
+                .with_ber(None)
+                .with_ecc(false)
+                .with_scrub(None);
+            let a = System::run_rate_mode(&base, soak_profile(), 5);
+            let b = System::run_rate_mode(&off, soak_profile(), 5);
+            assert_eq!(a, b, "{engine:?} {backend:?}: disarmed knobs must be a no-op");
+            assert!(a.integrity.is_none(), "no engine may exist with knobs off");
+            let text = attache_sim::report_io::to_text(&a, "k");
+            assert!(
+                !text.contains("integrity.") && !text.contains("scrub_reads"),
+                "{engine:?} {backend:?}: integrity-off reports must serialize without new keys"
+            );
         }
     }
 
@@ -135,32 +130,27 @@ fn integrity_off_is_pure() {
 }
 
 #[test]
-fn armed_runs_are_engine_and_shard_invariant() {
+fn armed_runs_are_engine_invariant() {
     // Bit-identity with every integrity knob armed at once (errors +
     // ECC + scrub): the event engine's horizon clamps (scrub next_tick
-    // included) and the sharded channel walk must reproduce the cycle
-    // engine's reads in the same global order, because the soft-error
-    // process keys flips off the global touch ordinal — one swapped
-    // read would cascade into different flips everywhere.
+    // included) must reproduce the cycle engine's reads in the same
+    // global order, because the soft-error process keys flips off the
+    // global touch ordinal — one swapped read would cascade into
+    // different flips everywhere.
     for strategy in [MetadataStrategyKind::Attache, MetadataStrategyKind::Cram] {
         let mut reports = Vec::new();
         for engine in ENGINES {
-            for shards in [1usize, 2] {
-                let cfg = soak_config(engine)
-                    .with_strategy(strategy)
-                    .with_ber(Some(40_000))
-                    .with_ecc(true)
-                    .with_scrub(Some(400))
-                    .with_shards(shards);
-                reports.push(System::run_rate_mode(&cfg, soak_profile(), 9));
-            }
+            let cfg = soak_config(engine)
+                .with_strategy(strategy)
+                .with_ber(Some(40_000))
+                .with_ecc(true)
+                .with_scrub(Some(400));
+            reports.push(System::run_rate_mode(&cfg, soak_profile(), 9));
         }
-        for r in &reports[1..] {
-            assert_eq!(
-                reports[0], *r,
-                "{strategy}: engine/shard axes diverged under armed integrity knobs"
-            );
-        }
+        assert_eq!(
+            reports[0], reports[1],
+            "{strategy}: engines diverged under armed integrity knobs"
+        );
         let i = reports[0].integrity.expect("armed");
         assert!(i.injected_flips > 0, "{strategy}: the invariance check must not be vacuous");
     }

@@ -152,48 +152,6 @@ fn oracle_is_lossless_across_scrambler_key_changes() {
 }
 
 #[test]
-fn oracle_validates_sharded_runs_and_sees_the_same_traffic() {
-    // Sharded-execution satellite: the oracle's byte checks ride the
-    // decode path above the memory facade, so a 2-shard run must route
-    // the identical writeback/re-read traffic through it (any in-run
-    // mismatch panics) and the merged report must equal serial. The
-    // forced-collision trace is reused so the hard path — CID
-    // collision, RA fetch, descramble — runs across the shard split.
-    let case = CorpusCase::load("mirror-trace");
-    let before = mirror::global_stats();
-    let profile = Profile {
-        name: "mirror-sharded",
-        suite: Suite::Synthetic,
-        category: Category::Incompressible,
-        data: DataProfile::incompressible(),
-        pattern: AccessPattern::Random,
-        footprint_lines: 8192,
-        instructions_per_access: 5.0,
-        write_fraction: 0.45,
-        mlp_limit: None,
-    };
-    for engine in ENGINES {
-        let mut cfg = quick(MetadataStrategyKind::Attache, engine).with_instructions(12_000, 0);
-        cfg.cid_bits = case.require("collision-cid-bits") as u8;
-        let serial = System::run_rate_mode(&cfg, profile.clone(), 23);
-        let sharded =
-            System::run_rate_mode(&cfg.clone().with_shards(2), profile.clone(), 23);
-        assert_eq!(serial, sharded, "{engine:?}: sharded oracle run diverged");
-        let ra = sharded.ra.expect("attache reports ra stats");
-        assert!(ra.reads > 0, "{engine:?}: the RA path must run across the split");
-    }
-    let after = mirror::global_stats();
-    assert!(
-        after.writes_recorded > before.writes_recorded,
-        "oracle recorded no writebacks across the sharded traces"
-    );
-    assert!(
-        after.reads_checked > before.reads_checked,
-        "oracle checked no reads across the sharded traces"
-    );
-}
-
-#[test]
 fn oracle_is_a_pure_observer() {
     // Identical reports with the oracle on and off: attaching it must not
     // perturb timing, stats, or energy.

@@ -14,11 +14,10 @@ use std::path::Path;
 /// The strategy-generic suites, relative to this crate's manifest dir.
 /// Each must iterate `MetadataStrategyKind::ALL` (directly or through a
 /// `STRATEGIES` constant bound to it).
-const GENERIC_SUITES: [&str; 8] = [
+const GENERIC_SUITES: [&str; 7] = [
     "tests/mirror_oracle.rs",
     "tests/golden_stats.rs",
     "tests/differential.rs",
-    "tests/sharded.rs",
     "tests/backends.rs",
     "tests/observability.rs",
     "../../tests/determinism.rs",

@@ -254,7 +254,7 @@ pub fn mixes() -> Vec<MixWorkload> {
 /// 8-channel / 64-core configs): the full rate-mode catalog cycled
 /// core-by-core, with every fourth member on mixed pages so the LiPR
 /// regime stays represented at any width. Deterministic in `cores`
-/// alone, so sharded-vs-serial comparisons can name it in both runs.
+/// alone, so two runs that name the same width see the same mix.
 pub fn scale_mix(cores: usize) -> MixWorkload {
     let catalog = all_rate_profiles();
     MixWorkload {

@@ -1,29 +1,26 @@
 #!/usr/bin/env bash
 # Simulator benchmark driver: builds the release workspace and runs
-#   * the cycle-vs-event engine comparison  -> results/BENCH_engine.json
-#   * the cycle-vs-fast backend comparison  -> results/BENCH_backend.json
-#   * the compression hot-path benchmark    -> results/BENCH_compress.json
+#   * the cycle-vs-event engine comparison  -> <results>/BENCH_engine.json
+#   * the cycle-vs-fast backend comparison  -> <results>/BENCH_backend.json
+#   * the compression hot-path benchmark    -> <results>/BENCH_compress.json
 #     (kernel MB/s + end-to-end Mcyc/s, plus a dated line appended to
-#     results/BENCH_trajectory.tsv so each PR's numbers form a series)
-#   * the sharded-execution benchmark       -> results/BENCH_shards.json
-#     (ATTACHE_SHARDS in {1,2,4,8} on the 8-channel/64-core config;
-#     every sharded run is asserted bit-identical to serial before its
-#     wall time counts, and the host's available parallelism is recorded
-#     so single-thread numbers read as what they are)
-#   * the data-integrity figure             -> results/BENCH_integrity.json
+#     <results>/BENCH_trajectory.tsv so each run's numbers form a series)
+#   * the data-integrity figure             -> <results>/BENCH_integrity.json
 #     (corrected/uncorrectable/silent-corruption rates and error
 #     amplification across all five strategies x a BER sweep, with an
-#     engine/shard bit-identity preamble and a trajectory row)
+#     engine bit-identity preamble and a trajectory row)
 # over the memory-bound profile grid, writing wall times and speedups.
+# <results> is ATTACHE_RESULTS (default results/).
 #
 # Usage: scripts/bench.sh [--smoke]
-#   --smoke                reduced-tick mode for CI: forces the quick
+#   --smoke                reduced-tick mode: forces the quick
 #                          configuration with a single repeat and runs
-#                          only the benches that append to
-#                          results/BENCH_trajectory.tsv (compress +
-#                          integrity), so every PR lands a dated
-#                          trajectory row and fresh BENCH_*.json files
-#                          in about a minute.
+#                          only the compress and integrity benches, in
+#                          about a minute. Its 40k-instruction numbers
+#                          are not the full-size ones EXPERIMENTS.md
+#                          quotes, so point ATTACHE_RESULTS at a scratch
+#                          directory (scripts/ci.sh does) rather than
+#                          overwrite the tracked results/ files.
 #
 # Knobs (all optional, same semantics as the experiment harness):
 #   ATTACHE_QUICK=1        fast smoke configuration (40k/8k instructions)
@@ -52,6 +49,5 @@ else
     ./target/release/bench_engine
     ./target/release/bench_backend
     ./target/release/bench_compress
-    ./target/release/bench_shards
     ./target/release/fig_integrity
 fi

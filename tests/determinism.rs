@@ -44,62 +44,28 @@ fn mixes_are_deterministic_too() {
 }
 
 #[test]
-fn sharded_runs_are_bit_identical_to_serial() {
-    // The determinism claim the sharding knob rests on, stated at the
-    // top level: `ATTACHE_SHARDS` (here its builder equivalent) is a
-    // wall-clock strategy, never a model change, so a threaded run IS
-    // the serial run — counters and energy bits included. The full
-    // per-strategy/per-engine battery lives in crates/sim/tests/sharded.rs.
-    let cfg = quick(MetadataStrategyKind::Attache).with_instructions(8_000, 2_000);
-    let serial = System::run_rate_mode(&cfg, Profile::stream(), 11);
-    let sharded =
-        System::run_rate_mode(&cfg.clone().with_shards(2), Profile::stream(), 11);
-    assert_eq!(serial, sharded);
-    assert_eq!(
-        serial.energy.total_pj().to_bits(),
-        sharded.energy.total_pj().to_bits()
-    );
-}
-
-#[test]
-fn shard_suffix_appears_in_cache_keys_and_tags_only_when_threaded() {
-    // Because sharded runs are bit-identical, `ATTACHE_SHARDS=1` must be
-    // byte-for-byte indistinguishable from a harness that predates the
-    // knob: no `_sh` tag suffix, no `|sh:` cache-key segment — the same
-    // convention the backend axis established (a cycle-reference run
-    // carries no `|b:` marker). A threaded run IS labeled, so exports
-    // record how they were produced. Configs are literals: no env reads,
-    // so the test is parallel-safe.
-    use attache_bench::{ExperimentConfig, JobSpec, WorkloadRef};
+fn cache_key_and_tag_match_the_recorded_literals() {
+    // Every file under `results/cache/` is named by a hash of
+    // `job.cache_key(..)`, and every export stem by `tag()`. Both strings
+    // are pinned as literals so that a harness change which re-keys the
+    // existing cache (and silently recomputes every figure) fails here.
+    // Configs are literals: no env reads, so the test is parallel-safe.
     use attache::sim::BackendKind;
+    use attache_bench::{ExperimentConfig, JobSpec, WorkloadRef};
 
-    let serial = ExperimentConfig {
+    let cfg = ExperimentConfig {
         instructions: 25_000,
         warmup: 5_000,
         seed: 42,
         backend: BackendKind::Cycle,
-        shards: 1,
     };
     let job = JobSpec::new(
         WorkloadRef::Rate("stream".into()),
         MetadataStrategyKind::Attache,
     );
-    assert_eq!(serial.tag(), "i25000_w5000_s42");
-    let serial_key = job.cache_key(&serial);
-    assert!(
-        !serial_key.contains("sh:") && !serial.tag().contains("_sh"),
-        "shards=1 must leave the pre-shard-axis forms untouched: {serial_key}"
-    );
-
-    let sharded = ExperimentConfig { shards: 4, ..serial };
-    assert_eq!(sharded.tag(), "i25000_w5000_s42_sh4");
-    let sharded_key = job.cache_key(&sharded);
-    assert!(sharded_key.contains("|sh:4"), "threaded runs are labeled: {sharded_key}");
+    assert_eq!(cfg.tag(), "i25000_w5000_s42");
     assert_eq!(
-        sharded_key.replace("|sh:4", ""),
-        serial_key,
-        "the shard segment must be the only difference"
+        job.cache_key(&cfg),
+        "attache-report-v1|i25000|w5000|s42|rate:stream|Attache|-"
     );
-    // Job identity (and therefore the derived seed) is shard-blind.
-    assert_eq!(job.seed(42), job.seed(42));
 }
