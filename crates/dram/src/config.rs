@@ -218,6 +218,19 @@ impl AddressMapping {
         Self { cfg, bits }
     }
 
+    /// The channel servicing a block (line) address: the lowest field of
+    /// the decomposition, so one mask on a power-of-two channel count and
+    /// one remainder otherwise — the router's per-request lookup without
+    /// decomposing the rest of the address.
+    pub fn channel_of(&self, line_addr: u64) -> usize {
+        let channels = self.cfg.channels as u64;
+        if channels.is_power_of_two() {
+            (line_addr & (channels - 1)) as usize
+        } else {
+            (line_addr % channels) as usize
+        }
+    }
+
     /// Decomposes a block (line) address.
     pub fn decompose(&self, line_addr: u64) -> Location {
         let Some(bits) = self.bits else {
@@ -337,6 +350,40 @@ mod tests {
                 if addr < lines {
                     assert_eq!(m.compose(loc), addr, "geometry {i} addr {addr}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn channel_of_matches_the_full_decomposition() {
+        // Power-of-two channel counts take the mask, the rest the
+        // remainder; both must pick the channel `decompose` does, also
+        // when some other field is not a power of two.
+        let mut three = DramConfig::table2();
+        three.channels = 3;
+        let mut odd_rows = DramConfig::scale8();
+        odd_rows.rows = 1000;
+        odd_rows.bank_groups = 3;
+        let mut one = DramConfig::table2();
+        one.channels = 1;
+        let mut six = DramConfig::table2();
+        six.channels = 6;
+        let geometries = [DramConfig::table2(), DramConfig::scale8(), one, three, odd_rows, six];
+        let mut g = attache_testkit::Gen::new(0xC4A7_0001);
+        for (i, cfg) in geometries.into_iter().enumerate() {
+            let m = AddressMapping::new(cfg);
+            let lines = cfg.capacity_bytes() / 64;
+            for case in 0..4096 {
+                let addr = match case % 3 {
+                    0 => g.next_u64(),
+                    1 => lines - 1 - g.below(64),
+                    _ => g.below(lines),
+                };
+                assert_eq!(
+                    m.channel_of(addr),
+                    m.decompose(addr).channel,
+                    "geometry {i} addr {addr}"
+                );
             }
         }
     }
