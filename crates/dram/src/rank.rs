@@ -64,8 +64,10 @@ impl Rank {
         &mut self.sub_banks[bank * self.subranks + subrank]
     }
 
-    /// Iterates the sub-ranks selected by `mask`.
-    fn mask_iter(&self, mask: u8) -> impl Iterator<Item = usize> + '_ {
+    /// Iterates the sub-ranks selected by `mask`. The iterator owns its
+    /// state, so a command can update the selected sub-banks while
+    /// iterating (no per-command allocation).
+    fn mask_iter(&self, mask: u8) -> impl Iterator<Item = usize> + use<> {
         (0..self.subranks).filter(move |s| mask & (1 << s) != 0)
     }
 
@@ -128,8 +130,7 @@ impl Rank {
 
     /// Issues the ACT validated by [`can_activate`](Rank::can_activate).
     pub fn activate(&mut self, now: u64, bank: usize, row: usize, mask: u8, t: &Timing) {
-        let subranks: Vec<usize> = self.mask_iter(mask).collect();
-        for s in subranks {
+        for s in self.mask_iter(mask) {
             if !self.sub_bank(bank, s).row_open(row) {
                 self.sub_bank_mut(bank, s).activate(now, row, t);
                 self.open_sub_banks += 1;
@@ -168,8 +169,7 @@ impl Rank {
 
     /// Issues a PRE to the sub-banks in `mask`.
     pub fn precharge(&mut self, now: u64, bank: usize, mask: u8, t: &Timing) {
-        let subranks: Vec<usize> = self.mask_iter(mask).collect();
-        for s in subranks {
+        for s in self.mask_iter(mask) {
             self.sub_bank_mut(bank, s).precharge(now, t);
             self.open_sub_banks -= 1;
         }
@@ -187,8 +187,7 @@ impl Rank {
 
     /// Issues a column READ at `now`.
     pub fn read(&mut self, now: u64, bank: usize, mask: u8, t: &Timing) {
-        let subranks: Vec<usize> = self.mask_iter(mask).collect();
-        for s in subranks {
+        for s in self.mask_iter(mask) {
             self.sub_bank_mut(bank, s).read(now, t);
             self.bus_next_rd[s] = now + t.t_ccd;
             self.bus_next_wr[s] = now + t.read_to_write();
@@ -207,8 +206,7 @@ impl Rank {
 
     /// Issues a column WRITE at `now`.
     pub fn write(&mut self, now: u64, bank: usize, mask: u8, t: &Timing) {
-        let subranks: Vec<usize> = self.mask_iter(mask).collect();
-        for s in subranks {
+        for s in self.mask_iter(mask) {
             self.sub_bank_mut(bank, s).write(now, t);
             self.bus_next_wr[s] = now + t.t_ccd;
             self.bus_next_rd[s] = now + t.write_to_read();
