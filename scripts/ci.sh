@@ -24,6 +24,10 @@
 #                        |   auditor, sim backends suite per engine)
 #   resilient executor   | resilient grid
 #   knob audit           | workspace tests; engines (env_knobs per engine)
+#   scheduler decision   | workspace tests (dram scheduler_golden: both tick
+#     identity           |   paths against FNV literals)
+#   benchmark simulated  | repository benchmark (--smoke sim_fingerprint
+#     results            |   lines against tests/goldens/benchmark_smoke.fingerprints)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -100,11 +104,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p attache-dram --quiet
 # The repository benchmark is its own package (attache_benchmark/, with
 # an empty [workspace] table), so the workspace passes above never build
 # or test it: run its unit and integration tests, then one --smoke pass
-# of every workload in both modes into the throwaway directory.
-echo "=== repository benchmark: tests + --smoke ==="
+# of every workload in both modes into the throwaway directory. Its
+# simulated results are pinned: the smoke's fingerprints must match the
+# tracked literals.
+echo "=== repository benchmark: tests + --smoke + pinned fingerprints ==="
 cargo test -q --release --offline --manifest-path attache_benchmark/Cargo.toml
 cargo run -q --release --offline --manifest-path attache_benchmark/Cargo.toml -- \
-    --smoke --out-dir "$SMOKE_DIR/benchmark"
+    --smoke --out-dir "$SMOKE_DIR/benchmark" | tee "$SMOKE_DIR/benchmark.out"
+grep '^sim_fingerprint ' "$SMOKE_DIR/benchmark.out" | LC_ALL=C sort -u \
+    | diff <(grep -v '^#' tests/goldens/benchmark_smoke.fingerprints) - \
+    || { echo "benchmark smoke: sim_fingerprint differs from tests/goldens/benchmark_smoke.fingerprints"; exit 1; }
 
 # Benchmark smoke: exercises the bench bins end to end (including
 # fig_integrity's engine bit-identity preamble). Its outputs go to the
