@@ -104,7 +104,7 @@ fn event_engine_stops_on_the_target_tick() {
 #[test]
 fn engines_agree_on_the_fast_backend_all_strategies() {
     // The tentpole's engine contract extends to every MemoryBackend:
-    // the fast queueing model's next_event/mutation_gen/derate bounds
+    // the fast queueing model's next_event/accept_gen/derate bounds
     // must be exact, or the event engine would skip a retirement or a
     // retry-flush cycle the reference engine runs. Bit-identity here is
     // what makes `ATTACHE_BACKEND=fast` composable with the default
