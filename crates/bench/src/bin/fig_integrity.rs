@@ -14,8 +14,8 @@
 //! swapped read would re-key every subsequent soft error, so this is
 //! the canary for the whole model.
 //!
-//! Output: `<results>/BENCH_integrity.json` plus a dated section row in
-//! `<results>/BENCH_trajectory.tsv`. Run via `scripts/bench.sh` or
+//! Output: `<results>/BENCH_integrity.json`. Run via
+//! `scripts/run_experiments.sh` or
 //! `cargo run --release -p attache-bench --bin fig_integrity`.
 
 use attache_bench::ExperimentConfig;
@@ -185,44 +185,5 @@ fn main() {
     let path = dir.join("BENCH_integrity.json");
     std::fs::write(&path, json).expect("write BENCH_integrity.json");
 
-    // Trajectory: sectioned per benchmark; fig_integrity appends its own
-    // header once, then one dated row per run (summed over the sweep).
-    let traj = dir.join("BENCH_trajectory.tsv");
-    let header = "date\tinstr\tflips\tcorrected\tuncorrectable\trecovered\tdata_loss\tsilent";
-    let prev = std::fs::read_to_string(&traj).unwrap_or_default();
-    let mut sums = [0u64; 6];
-    for line in rows.lines() {
-        for (i, key) in [
-            "\"injected_flips\": ",
-            "\"corrected\": ",
-            "\"uncorrectable\": ",
-            "\"recovered\": ",
-            "\"data_loss\": ",
-            "\"silent_corruption_reads\": ",
-        ]
-        .iter()
-        .enumerate()
-        {
-            if let Some(rest) = line.split(key).nth(1) {
-                let n: u64 = rest
-                    .chars()
-                    .take_while(char::is_ascii_digit)
-                    .collect::<String>()
-                    .parse()
-                    .unwrap_or(0);
-                sums[i] += n;
-            }
-        }
-    }
-    let mut out = String::new();
-    if !prev.contains(header) {
-        let _ = writeln!(out, "{header}");
-    }
-    let _ = write!(out, "{date}\t{}", ec.instructions);
-    for s in &sums {
-        let _ = write!(out, "\t{s}");
-    }
-    out.push('\n');
-    std::fs::write(&traj, prev + &out).expect("append BENCH_trajectory.tsv");
     println!("\nintegrity sweep -> {}", path.display());
 }

@@ -209,16 +209,6 @@ pub struct Overrides {
     pub cid_bits: Option<u8>,
     /// COPR composition (Fig. 17's axis).
     pub copr: Option<CoprVariant>,
-    /// Caps the workload's footprint (in cache lines), forcing DRAM-level
-    /// reuse into smoke-length runs. Chaos and executor tests use this to
-    /// guarantee written-back lines are re-read within a few thousand
-    /// instructions; the paper's grids leave it unset.
-    pub footprint_lines: Option<u64>,
-    /// Test hook: run with a *poisoned* mirror oracle (plus a small
-    /// trace ring and a shrunken LLC), so the job deterministically
-    /// panics on its first checked re-read — exercising the resilient
-    /// executor's quarantine-and-continue path end to end.
-    pub mirror_poison: bool,
 }
 
 impl Overrides {
@@ -235,14 +225,6 @@ impl Overrides {
         }
         if let Some(v) = self.copr {
             parts.push(format!("copr={}", v.key()));
-        }
-        if let Some(f) = self.footprint_lines {
-            parts.push(format!("fp={f}"));
-        }
-        if self.mirror_poison {
-            // Part of the job identity: a poisoned run must never share
-            // a cache entry or a seed with the healthy grid point.
-            parts.push("poison".to_string());
         }
         if parts.is_empty() {
             "-".to_string()
@@ -342,17 +324,6 @@ impl JobSpec {
         if let Some(v) = self.overrides.copr {
             sim.copr = Some(v.config(self.workload.occupied_lines(sim.core.cores)));
         }
-        if self.overrides.mirror_poison {
-            sim = sim
-                .with_mirror(true)
-                .with_mirror_poison(true)
-                .with_trace_ring(Some(64));
-            // A tiny LLC guarantees dirty evictions and checked
-            // re-reads even in smoke-length runs; without them the
-            // poison never surfaces and the job cannot fail. Pair with
-            // `Overrides::footprint_lines` so evicted lines get re-read.
-            sim.llc.size_bytes = 16 << 10;
-        }
         sim
     }
 
@@ -371,21 +342,10 @@ impl JobSpec {
         let seed = self.seed(cfg.seed);
         match &self.workload {
             WorkloadRef::Rate(name) => {
-                let mut p = Profile::by_name(name).expect("rate workload exists");
-                if let Some(f) = self.overrides.footprint_lines {
-                    p.footprint_lines = f;
-                }
+                let p = Profile::by_name(name).expect("rate workload exists");
                 System::run_rate_mode_observed(&sim, p, seed)
             }
-            WorkloadRef::Mix(name) => {
-                let mut mix = find_mix(name);
-                if let Some(f) = self.overrides.footprint_lines {
-                    for core in &mut mix.cores {
-                        core.footprint_lines = f;
-                    }
-                }
-                System::run_mix_observed(&sim, &mix, seed)
-            }
+            WorkloadRef::Mix(name) => System::run_mix_observed(&sim, &find_mix(name), seed),
         }
     }
 
@@ -780,19 +740,5 @@ mod tests {
         // The sim config actually routes the selection to the simulator.
         assert_eq!(job.sim_config(&fast).backend, BackendKind::Fast);
         assert_eq!(job.sim_config(&cycle).backend, BackendKind::Cycle);
-    }
-
-    #[test]
-    fn poison_override_changes_the_job_identity() {
-        let healthy =
-            JobSpec::new(WorkloadRef::Rate("mcf".into()), MetadataStrategyKind::Attache);
-        let mut poisoned = healthy.clone();
-        poisoned.overrides.mirror_poison = true;
-        assert_ne!(healthy.seed(42), poisoned.seed(42));
-        assert_ne!(healthy.cache_key(&cfg()), poisoned.cache_key(&cfg()));
-        assert!(poisoned.label().contains("poison"), "{}", poisoned.label());
-        let sim = poisoned.sim_config(&cfg());
-        assert!(sim.mirror && sim.mirror_poison);
-        assert_eq!(sim.trace_ring, Some(64));
     }
 }

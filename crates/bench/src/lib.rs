@@ -20,16 +20,16 @@
 //! * `ATTACHE_RESULTS` — results directory (default `results`).
 //! * `ATTACHE_NO_CACHE` — bypass the report cache (`--no-cache` works
 //!   too).
-//! * `ATTACHE_QUICK` — if set, a fast smoke configuration (40k/8k).
+//! * `ATTACHE_QUICK` — a fast smoke configuration (40k/8k).
+//!
+//! The two switches are on when set, non-empty and not `0`.
 
 #![warn(missing_docs)]
 
 pub mod grid;
-pub mod resilient;
 pub mod results;
 pub mod runner;
 
 pub use grid::{parallel_map, CoprVariant, Grid, JobSpec, Overrides, WorkloadRef};
-pub use resilient::{run_resilient, JobOutcome};
 pub use results::{ResultRow, ResultSet};
 pub use runner::{geo_mean, ExperimentConfig};

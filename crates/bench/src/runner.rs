@@ -3,6 +3,7 @@
 //! Environment knobs (all optional; see EXPERIMENTS.md):
 //!
 //! * `ATTACHE_QUICK` — fast smoke configuration (40k/8k instructions).
+//!   This and `ATTACHE_NO_CACHE` are switches: unset, empty or `0` is off.
 //! * `ATTACHE_INSTR` / `ATTACHE_WARMUP` — run length per core.
 //! * `ATTACHE_SEED` — base seed; per-job seeds are derived from it.
 //! * `ATTACHE_WORKERS` — worker threads for grid execution (default: all
@@ -15,7 +16,7 @@
 //!   docs/BACKENDS.md). An unknown value warns and falls back to the
 //!   cycle reference — it must never kill a sweep mid-grid.
 
-use attache_sim::{backend_from_env, env_u64, BackendKind, SimConfig};
+use attache_sim::{backend_from_env, env_flag, env_u64, BackendKind, SimConfig};
 use std::path::PathBuf;
 
 /// Harness-level configuration, read from the environment.
@@ -36,7 +37,7 @@ pub struct ExperimentConfig {
 impl ExperimentConfig {
     /// Reads the configuration from the environment (see the crate docs).
     pub fn from_env() -> Self {
-        if std::env::var("ATTACHE_QUICK").is_ok() {
+        if env_flag("ATTACHE_QUICK") {
             return Self {
                 instructions: env_u64("ATTACHE_INSTR", 40_000),
                 warmup: env_u64("ATTACHE_WARMUP", 8_000),
@@ -84,7 +85,7 @@ impl ExperimentConfig {
     /// `ATTACHE_NO_CACHE` environment variable or a `--no-cache`
     /// command-line argument.
     pub fn cache_enabled(&self) -> bool {
-        std::env::var_os("ATTACHE_NO_CACHE").is_none()
+        !env_flag("ATTACHE_NO_CACHE")
             && !std::env::args().any(|a| a == "--no-cache")
     }
 

@@ -109,16 +109,31 @@ fn cache_round_trips_and_misses_on_config_change() {
 
     // Every job must now have a cache file...
     let cache_dir = cfg.cache_dir();
-    let entries = std::fs::read_dir(&cache_dir)
+    let mut entries: Vec<_> = std::fs::read_dir(&cache_dir)
         .expect("cache dir exists after a cached run")
         .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "report"))
-        .count();
-    assert_eq!(entries, grid.jobs().len(), "one cache file per job");
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "report"))
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len(), grid.jobs().len(), "one cache file per job");
 
     // ...and a second run must reproduce the first from cache, exactly.
     let second = grid.run(&cfg);
     assert_eq!(first, second, "cache round-trip changed a report");
+
+    // A garbage entry reads as a miss: the job re-runs to the same report
+    // and overwrites the file with the entry it would have written.
+    let victim = &entries[0];
+    let good = std::fs::read(victim).unwrap();
+    std::fs::write(victim, b"}} definitely not a report {{").unwrap();
+    let healed = grid.run(&cfg);
+    assert_eq!(first, healed, "a corrupt cache entry must re-run to the same report");
+    assert_eq!(
+        std::fs::read(victim).unwrap(),
+        good,
+        "the re-run must overwrite the corrupt entry"
+    );
 
     // A direct file-level round-trip is also exact.
     let job = &grid.jobs()[0];

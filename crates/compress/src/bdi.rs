@@ -418,9 +418,8 @@ impl BdiAnalysis {
 }
 
 /// The original element-at-a-time BDI kernels, kept verbatim as the
-/// reference implementation. The `scalar_vs_vector` property suite and the
-/// micro-benchmarks drive these against the lane-wise hot path; simulation
-/// code never calls them.
+/// reference implementation. The `scalar_vs_vector` property suite drives
+/// these against the lane-wise hot path; simulation code never calls them.
 pub mod scalar {
     use super::Encoding;
     use crate::{Algorithm, Block, Compressed, BLOCK_SIZE};

@@ -429,9 +429,8 @@ impl Compressor for Fpc {
 }
 
 /// The original `match`-cascade FPC kernels, kept verbatim as the
-/// reference implementation. The `scalar_vs_vector` property suite and the
-/// micro-benchmarks drive these against the branchless hot path; simulation
-/// code never calls them.
+/// reference implementation. The `scalar_vs_vector` property suite drives
+/// these against the branchless hot path; simulation code never calls them.
 pub mod scalar {
     use super::{Pattern, WORDS, WRITER_CAP};
     use crate::{Algorithm, Block, Compressed, BLOCK_SIZE};

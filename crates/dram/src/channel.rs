@@ -156,14 +156,6 @@ impl core::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-
-/// Command tracing (set `ATTACHE_TRACE=1`): logs CAS/ACT/PRE on channel 0
-/// to stderr. The flag is read once and cached.
-fn trace_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("ATTACHE_TRACE").is_ok())
-}
-
 /// Protocol conformance auditing (set `ATTACHE_CONFORMANCE=1`): attaches a
 /// [`ConformanceChecker`] to every channel at construction. Read per call —
 /// not cached — so tests can toggle it between [`Channel::new`] calls.
@@ -1001,11 +993,6 @@ impl Channel {
                     }
                     p
                 };
-                if trace_enabled() && self.index == 0 {
-                    eprintln!("{} {} bank={} row={} mask={:02b} id={}",
-                        now, if writes {"WR "} else {"RD "},
-                        bank, row, p.req.width.mask(), p.req.id);
-                }
                 let mask = p.req.width.mask();
                 let chips = p.req.width.chips();
                 let bytes = p.req.width.bytes();
@@ -1040,9 +1027,6 @@ impl Channel {
                     q[i].needed_act = true;
                     q[i].req.width.mask()
                 };
-                if trace_enabled() && self.index == 0 {
-                    eprintln!("{} ACT bank={} row={} mask={:02b}", now, bank, row, mask);
-                }
                 let rank = &mut self.ranks[rank_idx];
                 let before = rank.open_sub_banks;
                 rank.activate(now, bank, row, mask, &t);
@@ -1061,9 +1045,6 @@ impl Channel {
                 // conflict set, or its whole conflict set when starving.
                 let q = if writes { &mut self.write_q } else { &mut self.read_q };
                 q[i].needed_act = true;
-                if trace_enabled() && self.index == 0 {
-                    eprintln!("{} PRE bank={} mask={:02b} for-row={} q={}", now, bank, pre_mask, row, q.len());
-                }
                 self.ranks[rank_idx].precharge(now, bank, pre_mask, &t);
                 self.after_command(Pass::Pre, rank_idx, bank);
                 self.audit(now, rank_idx, DramCommand::Precharge { bank, mask: pre_mask });

@@ -252,9 +252,8 @@ pub struct SimConfig {
     /// Cooperative tick budget in bus cycles
     /// (`ATTACHE_JOB_TICK_BUDGET=<n>`, unset/`0` = unlimited): a run
     /// that exceeds it panics with a
-    /// [`TickBudgetExceeded`](crate::faults::TickBudgetExceeded) payload,
-    /// which the resilient grid executor converts into a structured
-    /// timed-out outcome.
+    /// [`TickBudgetExceeded`](crate::faults::TickBudgetExceeded) payload
+    /// that a caller can recover with `catch_unwind` + `downcast_ref`.
     pub tick_budget: Option<u64>,
     /// Device soft-error rate in ppm of line-touches
     /// (`ATTACHE_BER=<ppm>`, unset/`0` = no soft errors; see
@@ -290,14 +289,14 @@ impl SimConfig {
             cid_bits: 14,
             engine: EngineKind::from_env(),
             backend: backend_from_env(),
-            mirror: mirror_from_env(),
+            mirror: crate::env::env_flag("ATTACHE_MIRROR"),
             epoch: crate::env::env_u64_opt("ATTACHE_EPOCH"),
             trace_ring: crate::env::env_u64_opt("ATTACHE_TRACE_RING").map(|n| n as usize),
             mirror_poison: false,
             faults: crate::faults::FaultPlan::from_env(),
             tick_budget: crate::env::env_u64_opt("ATTACHE_JOB_TICK_BUDGET"),
             ber_ppm: crate::env::env_u64_opt("ATTACHE_BER"),
-            ecc: ecc_from_env(),
+            ecc: crate::env::env_flag("ATTACHE_ECC"),
             scrub_period: crate::env::env_u64_opt("ATTACHE_SCRUB"),
         }
     }
@@ -412,28 +411,6 @@ impl SimConfig {
     pub fn with_scrub(mut self, period: Option<u64>) -> Self {
         self.scrub_period = period.filter(|&p| p > 0);
         self
-    }
-}
-
-/// Reads `ATTACHE_MIRROR`: any non-empty value other than `0` enables the
-/// mirror-memory oracle for configs built afterwards. Deliberately *not*
-/// cached in a `OnceLock` — the oracle is a pure observer, and tests
-/// toggle the variable between config constructions.
-fn mirror_from_env() -> bool {
-    match std::env::var("ATTACHE_MIRROR") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    }
-}
-
-/// Reads `ATTACHE_ECC`: any non-empty value other than `0` enables the
-/// modeled SEC-DED ECC pipeline for configs built afterwards.
-/// Deliberately *not* cached in a `OnceLock` — tests toggle the
-/// variable between config constructions.
-fn ecc_from_env() -> bool {
-    match std::env::var("ATTACHE_ECC") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
     }
 }
 

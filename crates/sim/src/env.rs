@@ -23,13 +23,25 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
     }
 }
 
+/// Reads `name` as an on/off switch: on when set, non-empty and not `0`
+/// (see [`env_flag_value`]). Deliberately not cached in a `OnceLock`, so
+/// tests may toggle the variable between reads.
+pub fn env_flag(name: &str) -> bool {
+    env_flag_value(std::env::var(name).ok().as_deref())
+}
+
+/// The pure classifier behind [`env_flag`]: `None` (unset), the empty
+/// string and `0` read as off; any other value reads as on.
+pub fn env_flag_value(value: Option<&str>) -> bool {
+    value.is_some_and(|v| !v.is_empty() && v != "0")
+}
+
 /// Every `ATTACHE_*` variable any part of the workspace reads. A set
 /// variable outside this list is almost certainly a typo (the original
 /// motivating case: `ATTACHE_EPOC=50000` silently sampling nothing), so
 /// [`warn_unknown_knobs_once`] flags it at sim startup.
 pub const KNOWN_KNOBS: &[&str] = &[
     "ATTACHE_BACKEND",
-    "ATTACHE_BENCH_REPEAT",
     "ATTACHE_BER",
     "ATTACHE_BLESS",
     "ATTACHE_COMPRESS_MEMO",
@@ -40,17 +52,13 @@ pub const KNOWN_KNOBS: &[&str] = &[
     "ATTACHE_EPOCH",
     "ATTACHE_FAULTS",
     "ATTACHE_INSTR",
-    "ATTACHE_JOB_LIMIT",
-    "ATTACHE_JOB_RETRIES",
     "ATTACHE_JOB_TICK_BUDGET",
     "ATTACHE_MIRROR",
     "ATTACHE_NO_CACHE",
     "ATTACHE_QUICK",
     "ATTACHE_RESULTS",
-    "ATTACHE_RESUME",
     "ATTACHE_SCRUB",
     "ATTACHE_SEED",
-    "ATTACHE_TRACE",
     "ATTACHE_TRACE_RING",
     "ATTACHE_WARMUP",
     "ATTACHE_WORKERS",

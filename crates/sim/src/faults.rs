@@ -979,9 +979,9 @@ impl FaultInjector {
 }
 
 /// The panic payload thrown by the cooperative tick-budget watchdog
-/// (`SimConfig::with_tick_budget` / `ATTACHE_JOB_TICK_BUDGET`). The
-/// resilient grid executor downcasts unwind payloads to this type to
-/// classify a job as timed out rather than crashed.
+/// (`SimConfig::with_tick_budget` / `ATTACHE_JOB_TICK_BUDGET`). A caller
+/// that catches the unwind can downcast the payload to this type to
+/// classify a run as timed out rather than crashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TickBudgetExceeded {
     /// The configured budget in bus cycles.

@@ -40,7 +40,7 @@ pub use config::{
     backend_from_env, backend_from_env_value, CoreConfig, EngineKind, MetadataStrategyKind,
     SimConfig,
 };
-pub use env::{env_u64, env_u64_opt, unknown_knobs, KNOWN_KNOBS};
+pub use env::{env_flag, env_flag_value, env_u64, env_u64_opt, unknown_knobs, KNOWN_KNOBS};
 pub use faults::{FaultClass, FaultCounters, FaultPlan, FaultStats, TickBudgetExceeded};
 pub use inline::InlineVec;
 pub use integrity::{EccVerdict, IntegrityEngine, IntegrityStats};

@@ -744,9 +744,8 @@ impl System {
     /// Cooperative watchdog: panics with a typed
     /// [`TickBudgetExceeded`](crate::faults::TickBudgetExceeded) payload
     /// once the bus clock passes the configured budget
-    /// (`ATTACHE_JOB_TICK_BUDGET`). The resilient grid executor
-    /// downcasts the payload into a structured timed-out outcome instead
-    /// of treating the job as crashed.
+    /// (`ATTACHE_JOB_TICK_BUDGET`), so a runaway run stops instead of
+    /// hanging and the caller can tell a timeout from a crash.
     fn check_tick_budget(&self) {
         if let Some(budget) = self.cfg.tick_budget {
             let now = self.mem.now();

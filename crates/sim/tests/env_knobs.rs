@@ -10,8 +10,8 @@
 //! a second env-mutating test here would race this one.
 
 use attache_sim::{
-    backend_from_env_value, env_u64, env_u64_opt, unknown_knobs, BackendKind, FaultPlan,
-    SimConfig, KNOWN_KNOBS,
+    backend_from_env_value, env_flag_value, env_u64, env_u64_opt, unknown_knobs, BackendKind,
+    FaultPlan, SimConfig, KNOWN_KNOBS,
 };
 
 #[test]
@@ -136,6 +136,18 @@ fn backend_classifier_is_total() {
 }
 
 #[test]
+fn flag_classifier_reads_unset_empty_and_zero_as_off() {
+    // The pure classifier behind `env_flag` (ATTACHE_QUICK, ATTACHE_NO_CACHE,
+    // ATTACHE_MIRROR, ATTACHE_ECC) — no environment mutation.
+    assert!(!env_flag_value(None));
+    assert!(!env_flag_value(Some("")));
+    assert!(!env_flag_value(Some("0")));
+    assert!(env_flag_value(Some("1")));
+    assert!(env_flag_value(Some("yes")));
+    assert!(env_flag_value(Some("00")));
+}
+
+#[test]
 fn every_registered_knob_is_documented_in_knobs_md() {
     // docs/KNOBS.md is the reference table for every ATTACHE_* variable;
     // registering a knob in KNOWN_KNOBS without documenting it there
@@ -189,14 +201,25 @@ fn unknown_knob_classifier_flags_typos_only() {
         "PATH",            // not our namespace
         "ATTACHEMENT",     // no underscore — not our namespace
         "ATTACHE_NEW_KNOB_NOBODY_READS",
-        "ATTACHE_SHARDS",  // removed knob: a stale export must warn, not panic
+        // Removed knobs: a stale export must warn, not panic.
+        "ATTACHE_SHARDS",
+        "ATTACHE_BENCH_REPEAT",
+        "ATTACHE_JOB_RETRIES",
+        "ATTACHE_RESUME",
+        "ATTACHE_JOB_LIMIT",
+        "ATTACHE_TRACE",
     ];
     assert_eq!(
         unknown_knobs(names),
         vec![
-            "ATTACHE_EPOC".to_string(),
-            "ATTACHE_NEW_KNOB_NOBODY_READS".to_string(),
-            "ATTACHE_SHARDS".to_string(),
+            "ATTACHE_EPOC",
+            "ATTACHE_NEW_KNOB_NOBODY_READS",
+            "ATTACHE_SHARDS",
+            "ATTACHE_BENCH_REPEAT",
+            "ATTACHE_JOB_RETRIES",
+            "ATTACHE_RESUME",
+            "ATTACHE_JOB_LIMIT",
+            "ATTACHE_TRACE",
         ]
     );
     // Every registered knob classifies as known.

@@ -84,7 +84,7 @@ fn pinned(strategy: MetadataStrategyKind, engine: EngineKind) -> SimConfig {
 
 #[test]
 fn golden_stats_match_for_all_strategies_under_both_engines() {
-    let bless = std::env::var_os("ATTACHE_BLESS").is_some();
+    let bless = attache_sim::env_flag("ATTACHE_BLESS");
     let profile = pinned_profile();
     for strategy in STRATEGIES {
         let mut per_engine = Vec::new();

@@ -11,11 +11,14 @@
 //!    test-only `with_mirror_poison` hook), the panic message carries a
 //!    non-empty dump of the trace ring, so the last decoded sim/DRAM
 //!    events are available exactly when a run dies.
+//! 3. **Watchdog** — a run past its tick budget stops with a typed
+//!    `TickBudgetExceeded` payload on either engine, so a caller can tell
+//!    a runaway run from a crash.
 //!
 //! The forced-mismatch inputs are pinned in
 //! `tests/corpus/trace-ring-dump.case`.
 
-use attache_sim::{EngineKind, MetadataStrategyKind, SimConfig, System};
+use attache_sim::{EngineKind, MetadataStrategyKind, SimConfig, System, TickBudgetExceeded};
 use attache_testkit::{CorpusCase, Gen};
 use attache_workloads::{AccessPattern, Category, DataProfile, Profile, Suite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -132,5 +135,24 @@ fn forced_mirror_mismatch_dumps_the_trace_ring() {
             msg.contains("submit id=") || msg.contains("complete id="),
             "{engine:?}: the ring dump must contain decoded sim events, got:\n{msg}"
         );
+    }
+}
+
+#[test]
+fn tick_budget_watchdog_panics_with_a_typed_payload() {
+    const BUDGET: u64 = 500;
+    let mut g = Gen::new(0x7a7c_b0d6);
+    let profile = random_profile(&mut g);
+    for engine in ENGINES {
+        let cfg = quick(MetadataStrategyKind::Attache, engine).with_tick_budget(Some(BUDGET));
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            System::run_rate_mode(&cfg, profile.clone(), 5)
+        }))
+        .expect_err("a 3K-instruction run must outlast a 500-cycle budget");
+        let t = payload
+            .downcast_ref::<TickBudgetExceeded>()
+            .expect("the watchdog's payload is a TickBudgetExceeded");
+        assert_eq!(t.budget, BUDGET, "{engine:?}");
+        assert!(t.now > BUDGET, "{engine:?}: fired at {} before the budget ran out", t.now);
     }
 }

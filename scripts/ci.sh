@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full CI gate: release build, the whole test suite, the per-engine
 # correctness passes, clippy with warnings promoted to errors, the
-# rustdoc gate, and the benchmark smokes. Nothing here writes to a
+# rustdoc gate, the figure smoke and the repository benchmark's smoke.
+# Nothing here writes to a
 # tracked file: every smoke writes under a throwaway directory, so
 # `git status` is clean after a green run.
 #
@@ -17,12 +18,11 @@
 #                        |   goldens with knobs off
 #   faults               | engines (faults suite per ambient engine)
 #   integrity            | engines (integrity suite + dram ecc/soft_error
-#                        |   units); bench smoke (fig_integrity preamble)
+#                        |   units); figure smoke (fig_integrity preamble)
 #   memo purity          | goldens with knobs off (ATTACHE_COMPRESS_MEMO=0);
 #                        |   workspace tests (compress kernel equivalence)
 #   backend referee      | workspace tests; engines (dram referee under the
 #                        |   auditor, sim backends suite per engine)
-#   resilient executor   | resilient grid
 #   knob audit           | workspace tests; engines (env_knobs per engine)
 #   scheduler decision   | workspace tests (dram scheduler_golden: both tick
 #     identity           |   paths against FNV literals)
@@ -65,22 +65,18 @@ ATTACHE_BER=0 ATTACHE_ECC=0 ATTACHE_SCRUB=0 \
     cargo test -q -p attache-sim --release --test golden_stats
 ATTACHE_COMPRESS_MEMO=0 cargo test -q -p attache-sim --release --test golden_stats
 
-# Knobs-on smoke: one real figure binary with epoch sampling and the
-# trace ring enabled end-to-end, checking the series export lands on
-# disk.
-echo "=== observability smoke (ATTACHE_EPOCH + ATTACHE_TRACE_RING) ==="
+# Figure smoke, two real figure binaries end to end. The first runs
+# with epoch sampling and the trace ring enabled, checking the series
+# export lands on disk. The second is fig_integrity, whose preamble
+# asserts the armed integrity configuration is bit-identical across the
+# cycle and event engines before it writes BENCH_integrity.json.
+echo "=== figure smoke (observability knobs; fig_integrity engine preamble) ==="
 ATTACHE_QUICK=1 ATTACHE_NO_CACHE=1 ATTACHE_RESULTS="$SMOKE_DIR" \
     ATTACHE_EPOCH=50000 ATTACHE_TRACE_RING=256 \
     ./target/release/ablation_cid_width
 ls "$SMOKE_DIR"/series/*.series.csv > /dev/null \
-    || { echo "observability smoke: no series export found"; exit 1; }
-
-# The resilient executor: a poisoned grid job is quarantined with its
-# trace dump while siblings complete, a tick-budgeted job times out
-# structurally, and a sweep killed mid-way (ATTACHE_JOB_LIMIT) resumes
-# via ATTACHE_RESUME to byte-identical results.
-echo "=== resilient grid executor (quarantine / checkpoint-resume) ==="
-cargo test -q -p attache-bench --release --test resilient
+    || { echo "figure smoke: no series export found"; exit 1; }
+ATTACHE_QUICK=1 ATTACHE_RESULTS="$SMOKE_DIR" ./target/release/fig_integrity
 
 # Every suite above runs at the default libtest parallelism: tests that
 # touch engine knobs do so through builders, never by mutating the
@@ -114,13 +110,5 @@ cargo run -q --release --offline --manifest-path attache_benchmark/Cargo.toml --
 grep '^sim_fingerprint ' "$SMOKE_DIR/benchmark.out" | LC_ALL=C sort -u \
     | diff <(grep -v '^#' tests/goldens/benchmark_smoke.fingerprints) - \
     || { echo "benchmark smoke: sim_fingerprint differs from tests/goldens/benchmark_smoke.fingerprints"; exit 1; }
-
-# Benchmark smoke: exercises the bench bins end to end (including
-# fig_integrity's engine bit-identity preamble). Its outputs go to the
-# throwaway directory; the tracked results/BENCH_*.json files hold the
-# full-size numbers EXPERIMENTS.md quotes and are refreshed only by a
-# full `scripts/bench.sh` run.
-echo "=== bench smoke (scripts/bench.sh --smoke) ==="
-ATTACHE_RESULTS="$SMOKE_DIR/bench" bash scripts/bench.sh --smoke
 
 echo "CI OK"

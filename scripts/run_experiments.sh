@@ -20,7 +20,7 @@ for bin in table1_cid_sizes fig01_metadata_overhead fig04_compressibility \
            fig05_metacache_hitrate fig08_cid_collision fig11_copr_accuracy \
            fig12_speedup fig13_energy fig14_bandwidth_latency \
            fig15_metacache_traffic fig16_replacement_policies \
-           fig17_copr_ablation fig18_rivals ablation_cid_width; do
+           fig17_copr_ablation fig18_rivals ablation_cid_width fig_integrity; do
     echo "=== $bin ==="
     ./target/release/$bin | tee "$outdir/$bin.txt"
     echo
