@@ -12,7 +12,7 @@ use crate::conformance::{ConformanceChecker, ConformanceStats, DramCommand};
 use crate::power::{PowerModel, PowerParams};
 use crate::rank::Rank;
 use crate::request::{AccessKind, Completion, MemRequest};
-use crate::sched_index::{CandIndex, Pass};
+use crate::sched_index::{CandIndex, Pass, MAX_QUEUE};
 
 
 /// Aggregated per-channel statistics.
@@ -213,9 +213,11 @@ pub struct Channel {
     /// this cache answers the common "nobody is starving" case without
     /// the O(queue) age scan.
     read_min_arrival: u64,
-    /// The FR-FCFS candidate index of `read_q` (same positions), updated
-    /// at every enqueue, CAS removal, command and refresh; every
-    /// scheduler pass and bound reads it instead of the queue.
+    /// The FR-FCFS candidate index of `read_q` (same positions): every
+    /// scheduler pass and bound reads the served queue's index instead of
+    /// the queue. The served index is updated at every enqueue, CAS
+    /// removal, command and refresh; the other one is deferred until its
+    /// queue is served (see [`serve`](Channel::serve)).
     read_ix: CandIndex,
     /// The candidate index of `write_q`.
     write_ix: CandIndex,
@@ -228,13 +230,28 @@ pub struct Channel {
 
 impl Channel {
     /// Creates channel `index` of a memory system described by `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either queue capacity exceeds 64 requests.
     pub fn new(index: usize, cfg: DramConfig, power: PowerParams) -> Self {
+        for (field, capacity) in [
+            ("read_queue_capacity", cfg.read_queue_capacity),
+            ("write_queue_capacity", cfg.write_queue_capacity),
+        ] {
+            assert!(
+                capacity <= MAX_QUEUE,
+                "DramConfig::{field} is {capacity}; the scheduler supports at most {MAX_QUEUE}"
+            );
+        }
         let ranks: Vec<Rank> = (0..cfg.ranks).map(|_| Rank::new(&cfg)).collect();
         let index_of = |capacity, writes| {
             CandIndex::new(&ranks, cfg.banks(), cfg.subranks, capacity, &cfg.timing, writes)
         };
+        // Reads are served while both queues are empty.
         let read_ix = index_of(cfg.read_queue_capacity, false);
-        let write_ix = index_of(cfg.write_queue_capacity, true);
+        let mut write_ix = index_of(cfg.write_queue_capacity, true);
+        write_ix.defer();
         Self {
             index,
             cfg,
@@ -266,13 +283,12 @@ impl Channel {
     /// Pushes a `pass` command to `bank` of `rank` into both candidate
     /// indexes: the bank's rows or timers moved, and so may the
     /// rank-level terms the command's pass sets, which both queues'
-    /// records read.
+    /// records read. The deferred index only marks them stale.
     fn after_command(&mut self, pass: Pass, rank: usize, bank: usize) {
         let t = self.cfg.timing;
         let r = &self.ranks[rank];
         for ix in [&mut self.read_ix, &mut self.write_ix] {
-            ix.refresh_terms(pass, rank, r, &t);
-            ix.refresh_bank(r, rank, bank);
+            ix.command(pass, r, rank, bank, &t);
         }
     }
 
@@ -282,7 +298,30 @@ impl Channel {
         let t = self.cfg.timing;
         let r = &self.ranks[rank];
         for ix in [&mut self.read_ix, &mut self.write_ix] {
-            ix.refresh_rank(r, rank, &t);
+            ix.refresh(r, rank, &t);
+        }
+    }
+
+    /// Whether the next scheduler pass serves the write queue, under the
+    /// current drain mode: writes while draining or when no read waits.
+    fn serves_writes(&self) -> bool {
+        self.sticky_drain || (self.read_q.is_empty() && !self.write_q.is_empty())
+    }
+
+    /// Keeps the index of the served queue current: when the served queue
+    /// switches, the newly served index catches up on what it deferred
+    /// and the other one starts deferring. Called wherever the served
+    /// queue can change — a drain flip, an enqueue, a CAS removal — so
+    /// every pass and bound finds its index current.
+    fn serve(&mut self, writes: bool) {
+        let (on, off) = if writes {
+            (&mut self.write_ix, &mut self.read_ix)
+        } else {
+            (&mut self.read_ix, &mut self.write_ix)
+        };
+        if on.is_deferred() {
+            on.serve(&self.ranks, &self.cfg.timing);
+            off.defer();
         }
     }
 
@@ -436,6 +475,8 @@ impl Channel {
                     req,
                     needed_act: false,
                 });
+                // A first read takes service from opportunistic writes.
+                self.serve(self.serves_writes());
             }
             AccessKind::Write => {
                 if let Some(i) = self.write_lines.iter().position(|&l| l == req.line_addr) {
@@ -462,6 +503,8 @@ impl Channel {
                 // A new line reads can forward from and writes can
                 // coalesce into.
                 self.accept_gen += 1;
+                // A first write with no read waiting is served.
+                self.serve(self.serves_writes());
             }
         }
         Ok(())
@@ -566,12 +609,18 @@ impl Channel {
         if self.sticky_drain && !was {
             self.stats.drain_episodes += 1;
         }
+        self.serve(writes);
         let (issued, cand_bound) = if writes || !self.read_q.is_empty() {
             self.issue_from::<WANT_BOUND>(now, writes)
         } else {
             (false, u64::MAX)
         };
-        if issued || self.sticky_drain != was {
+        if issued {
+            // A CAS may have emptied the read queue.
+            self.serve(self.serves_writes());
+            return (true, 0);
+        }
+        if self.sticky_drain != was {
             return (true, 0);
         }
         if !WANT_BOUND {
@@ -619,7 +668,7 @@ impl Channel {
             let active = self.ranks[r].open_sub_banks > 0;
             self.power.on_background(1, active);
         }
-        if self.sticky_drain || (self.read_q.is_empty() && !self.write_q.is_empty()) {
+        if self.serves_writes() {
             self.stats.drain_cycles += 1;
         }
     }
@@ -724,12 +773,13 @@ impl Channel {
         if next_sticky != self.sticky_drain {
             return soon;
         }
-        let writes = next_sticky || (self.read_q.is_empty() && !self.write_q.is_empty());
+        let writes = self.serves_writes();
         let q = if writes { &self.write_q } else { &self.read_q };
         if q.is_empty() {
             return horizon;
         }
         let ix = if writes { &self.write_ix } else { &self.read_ix };
+        debug_assert!(!ix.is_deferred(), "next_sched_event read a deferred index");
         // Anti-starvation mirror of `issue_from`: once the oldest read
         // crosses STARVATION_AGE it is served exclusively, so the crossing
         // itself is an event, and past it only that read's gates matter
@@ -768,7 +818,7 @@ impl Channel {
         if next_sticky != self.sticky_drain {
             return soon;
         }
-        let writes = next_sticky || (self.read_q.is_empty() && !self.write_q.is_empty());
+        let writes = self.serves_writes();
         let q = match req.kind {
             AccessKind::Write => &self.write_q,
             AccessKind::Read => &self.read_q,
@@ -790,6 +840,7 @@ impl Channel {
         let starving = req.kind == AccessKind::Read
             && now.saturating_sub(req.arrival) > STARVATION_AGE;
         let ix = if writes { &self.write_ix } else { &self.read_ix };
+        debug_assert!(!ix.is_deferred(), "bound_with_enqueued read a deferred index");
         let ready = ix.ready_at(i, starving);
         let mut bound = old.min(ready.max(soon));
         if req.kind == AccessKind::Read {
@@ -818,7 +869,7 @@ impl Channel {
             let active = self.ranks[r].open_sub_banks > 0;
             self.power.on_background(span, active);
         }
-        if self.sticky_drain || (self.read_q.is_empty() && !self.write_q.is_empty()) {
+        if self.serves_writes() {
             self.stats.drain_cycles += span;
         }
         self.now += span;
@@ -889,7 +940,7 @@ impl Channel {
         } else if self.write_q.len() >= hi {
             self.sticky_drain = true;
         }
-        self.sticky_drain || (self.read_q.is_empty() && !self.write_q.is_empty())
+        self.serves_writes()
     }
 
     /// The index the anti-starvation rule serves exclusively, if any: the
@@ -937,6 +988,7 @@ impl Channel {
 
         let ranks = &self.ranks;
         let ix = if writes { &self.write_ix } else { &self.read_ix };
+        debug_assert!(!ix.is_deferred(), "issue_from read a deferred index");
         let due = |r: usize| ranks[r].refresh_due(now);
         let pick = match starving {
             // The starving read may close any row it conflicts with:
@@ -1088,12 +1140,31 @@ mod tests {
         ix
     }
 
+    /// Checks the served index against a from-scratch build, and a clone
+    /// of the deferred one once it has caught up as if its queue were
+    /// served. Serving clears the deferral bookkeeping, so both compare
+    /// as whole indexes.
+    fn assert_indexes_rebuild(ch: &Channel, what: &str) {
+        let writes = ch.serves_writes();
+        let (served, deferred) = if writes {
+            (&ch.write_ix, &ch.read_ix)
+        } else {
+            (&ch.read_ix, &ch.write_ix)
+        };
+        assert!(!served.is_deferred() && deferred.is_deferred(), "served queue {what}");
+        assert_eq!(*served, rebuilt(ch, writes), "served index {what}");
+        let mut caught_up = deferred.clone();
+        caught_up.serve(&ch.ranks, &ch.cfg.timing);
+        assert_eq!(caught_up, rebuilt(ch, !writes), "deferred index {what}");
+    }
+
     #[test]
     fn push_updates_keep_the_index_equal_to_a_rebuild() {
         // A small line pool over two banks and two ranks: row hits,
-        // conflicts, protection, coalescing with width changes, drains
-        // and refreshes, with the incremental index checked against a
-        // from-scratch build after every enqueue and every cycle.
+        // conflicts, protection, coalescing with width changes, drains,
+        // served-queue switches and refreshes, with both indexes checked
+        // against a from-scratch build after every enqueue and every
+        // cycle.
         let mut cfg = DramConfig::table2();
         cfg.channels = 1;
         cfg.ranks = 2;
@@ -1101,7 +1172,9 @@ mod tests {
         let m = AddressMapping::new(cfg);
         let mut g = attache_testkit::Gen::new(0x1D3E);
         ch.now = cfg.timing.t_refi - 300;
+        let mut switches = 0;
         for id in 0..3_000u64 {
+            let served = ch.serves_writes();
             if g.below(3) == 0 {
                 let loc = Location {
                     channel: 0,
@@ -1120,14 +1193,22 @@ mod tests {
                     req.kind = AccessKind::Write;
                 }
                 let _ = ch.enqueue(req);
-                assert_eq!(ch.read_ix, rebuilt(&ch, false), "reads after enqueue {id}");
-                assert_eq!(ch.write_ix, rebuilt(&ch, true), "writes after enqueue {id}");
+                assert_indexes_rebuild(&ch, &format!("after enqueue {id}"));
             }
             ch.tick();
-            assert_eq!(ch.read_ix, rebuilt(&ch, false), "reads at cycle {}", ch.now);
-            assert_eq!(ch.write_ix, rebuilt(&ch, true), "writes at cycle {}", ch.now);
+            assert_indexes_rebuild(&ch, &format!("at cycle {}", ch.now));
+            switches += usize::from(ch.serves_writes() != served);
         }
         assert!(ch.stats().refreshes > 0 && ch.stats().precharges > 0);
+        assert!(switches > 10, "the served queue switched {switches} times");
+    }
+
+    #[test]
+    #[should_panic(expected = "DramConfig::write_queue_capacity is 65")]
+    fn queue_capacity_above_64_is_refused() {
+        let mut cfg = DramConfig::table2();
+        cfg.write_queue_capacity = 65;
+        let _ = Channel::new(0, cfg, PowerParams::ddr4_1600());
     }
 
     #[test]

@@ -99,9 +99,12 @@ pub struct DramConfig {
     pub subranks: usize,
     /// Timing parameters.
     pub timing: Timing,
-    /// Read queue capacity per channel.
+    /// Read queue capacity per channel; at most 64 (the scheduler's
+    /// candidate index keeps one bit per queue position in a `u64`, and
+    /// [`Channel::new`](crate::Channel::new) refuses more).
     pub read_queue_capacity: usize,
-    /// Write queue capacity per channel.
+    /// Write queue capacity per channel; at most 64, like
+    /// [`read_queue_capacity`](Self::read_queue_capacity).
     pub write_queue_capacity: usize,
     /// Write drain starts when the write queue reaches this fill level.
     pub write_high_watermark: usize,

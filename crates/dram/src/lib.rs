@@ -62,9 +62,10 @@ pub struct MemorySystem {
     mapping: AddressMapping,
     channels: Vec<Channel>,
     /// Per-channel cached [`Channel::next_sched_event`] bound for the
-    /// event engine (`0` = unknown). A bound is an absolute cycle, so it
-    /// stays valid across no-op *and* retire-only cycles; it is discarded
-    /// whenever its channel's scheduler acts or it accepts a request.
+    /// event engine. A bound is an absolute cycle, so it stays valid
+    /// across no-op *and* retire-only cycles; it is recomputed whenever
+    /// its channel's scheduler acts and tightened when it accepts a
+    /// request.
     sched_bounds: Vec<u64>,
     /// Active fault-injected read derate as `(cap, until)`: every
     /// channel's read queue is capped at `cap` slots until the bus clock
@@ -76,13 +77,14 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Creates an idle memory system.
     pub fn new(cfg: DramConfig, power: PowerParams) -> Self {
+        let channels: Vec<Channel> = (0..cfg.channels)
+            .map(|i| Channel::new(i, cfg, power))
+            .collect();
         Self {
             cfg,
             mapping: AddressMapping::new(cfg),
-            channels: (0..cfg.channels)
-                .map(|i| Channel::new(i, cfg, power))
-                .collect(),
-            sched_bounds: vec![0; cfg.channels],
+            sched_bounds: channels.iter().map(Channel::next_sched_event).collect(),
+            channels,
             derate: None,
         }
     }
@@ -210,9 +212,7 @@ impl MemorySystem {
             // introduce are the new candidate itself and a drain flip
             // (see [`Channel::bound_with_enqueued`]).
             let b = self.sched_bounds[ch];
-            if b != 0 {
-                self.sched_bounds[ch] = self.channels[ch].bound_with_enqueued(b, &req);
-            }
+            self.sched_bounds[ch] = self.channels[ch].bound_with_enqueued(b, &req);
         }
         r
     }
@@ -236,9 +236,10 @@ impl MemorySystem {
     ///   scheduler scan ([`Channel::tick_retire_only`]; retirement cannot
     ///   change command legality or enqueue outcomes, so the bound and
     ///   the acceptance generations survive);
-    /// * otherwise a full [`Channel::tick`]; if the scheduler acted the
-    ///   bound is discarded (recomputed lazily), else the failed scan's
-    ///   cycle establishes a fresh bound.
+    /// * otherwise a full [`Channel::tick`]; if the scheduler acted, the
+    ///   bound is [`Channel::next_sched_event`] taken after the command
+    ///   (the served index is current then, so it is as exact as a failed
+    ///   pass's), else the failed scan's cycle establishes a fresh bound.
     pub fn tick_event(&mut self) {
         self.expire_derate();
         for (ch, bound) in self.channels.iter_mut().zip(&mut self.sched_bounds) {
@@ -253,11 +254,7 @@ impl MemorySystem {
                 // The fused tick returns the fresh scheduling bound as a
                 // side effect of a failed pass — no second queue scan.
                 let (changed, b) = ch.tick_with_bound();
-                if changed {
-                    *bound = 0;
-                } else {
-                    *bound = b;
-                }
+                *bound = if changed { ch.next_sched_event() } else { b };
             }
         }
     }
@@ -323,20 +320,11 @@ impl MemorySystem {
 
     /// Like [`next_event`](Self::next_event) but with the scheduling part
     /// served from the per-channel bound cache maintained by
-    /// [`tick_event`](Self::tick_event). A channel whose bound is unknown
-    /// (its scheduler just acted, or it accepted a request) reports "next
-    /// cycle" instead of paying a scan: mid-burst the next tick runs in
-    /// full anyway and would invalidate a freshly computed bound
-    /// immediately. The first post-burst tick that fails to issue
-    /// establishes the real bound as a side effect, and only then does
-    /// skipping resume. The retire part ([`Channel::next_retire`]) is
-    /// cheap and always fresh.
+    /// [`tick_event`](Self::tick_event). The retire part
+    /// ([`Channel::next_retire`]) is cheap and always fresh.
     pub fn next_event_cached(&self) -> u64 {
         let mut min = u64::MAX;
         for (ch, bound) in self.channels.iter().zip(&self.sched_bounds) {
-            if *bound == 0 {
-                return ch.now() + 1;
-            }
             min = min.min(*bound).min(ch.next_retire());
         }
         self.clamp_to_derate_expiry(min)

@@ -10,18 +10,30 @@
 //! protects. A record only changes when its bank is commanded, its rank
 //! refreshes, or its bank's membership in the same queue changes
 //! (enqueue, CAS removal, write coalescing), so those are the only points
-//! that recompute it, one whole bank at a time, in both queues' indexes.
+//! that recompute it, one whole bank at a time.
 //!
 //! Records are grouped per rank by *class*: CAS per sub-rank mask, ACT per
 //! act-mask (the idle sub-banks that need the ACT), and one PRE group of
-//! the unprotected row conflicts. A group is a bitset over queue
-//! positions, so its members iterate in queue order, and it caches the
-//! minimum of its members' bank-local ready times. Every member of a group
-//! shares the group's rank-level term (refresh gate, data-bus or
-//! tRRD/tFAW window over the class's mask), so the earliest cycle any
-//! member could issue is `max(group min, rank term)`, kept per group: a
-//! scheduler pass that issues nothing reads one word per non-empty group,
-//! and a pass that issues scans only the ready groups of its class.
+//! the unprotected row conflicts. A group is a one-word bitset over queue
+//! positions (a queue holds at most 64 requests), so its members iterate
+//! in queue order, and it caches the minimum of its members' bank-local
+//! ready times. Every member of a group shares the group's rank-level
+//! term (refresh gate, data-bus or tRRD/tFAW window over the class's
+//! mask), so the earliest cycle any member could issue is
+//! `max(group min, rank term)`, kept per group: a scheduler pass that
+//! issues nothing reads one word per non-empty group, and a pass that
+//! issues scans only the ready groups of its class.
+//!
+//! Only the *served* queue's index is kept current. A scheduler pass
+//! serves one queue (writes while draining or when no read waits, reads
+//! otherwise), and every pass, bound and starvation check reads only that
+//! queue's index. The other index is *deferred*: a command, refresh,
+//! push or coalesce it sees only marks the bank dirty in a per-rank bank
+//! mask (and the rank-level terms stale), and
+//! [`serve`](CandIndex::serve) recomputes those banks and terms once,
+//! when its queue becomes the served one. Structural updates (a record
+//! appended, a CAS removal) still apply at once, so positions always
+//! follow the queue.
 
 use crate::bank::RowState;
 use crate::config::Timing;
@@ -73,7 +85,7 @@ const NO_GROUP: u8 = u8::MAX;
 const MAX_SUBRANKS: usize = 2;
 
 /// Iterates the set bits of one word in ascending order (sub-rank
-/// masks, class sets, one word of a bitset).
+/// masks, class sets, group and bank memberships).
 struct Ones(u64);
 
 impl Iterator for Ones {
@@ -93,16 +105,15 @@ fn ones(m: u64) -> Ones {
     Ones(m)
 }
 
-/// Deletes bit `i` of a multi-word bitset, shifting every higher bit down
-/// by one: the bitset follows a `Vec::remove(i)` of the queue.
-fn remove_bit(words: &mut [u64], i: usize) {
-    let (w0, b) = (i / 64, i % 64);
-    let low = (1u64 << b) - 1;
-    words[w0] = (words[w0] & low) | ((words[w0] >> 1) & !low);
-    for w in w0 + 1..words.len() {
-        words[w - 1] |= (words[w] & 1) << 63;
-        words[w] >>= 1;
-    }
+/// The most requests a queue may hold: one bit per position in a
+/// membership word.
+pub(crate) const MAX_QUEUE: usize = 64;
+
+/// Deletes bit `i` of a membership word, shifting every higher bit down
+/// by one: the word follows a `Vec::remove(i)` of the queue.
+fn remove_bit(word: u64, i: usize) -> u64 {
+    let low = (1u64 << i) - 1;
+    (word & low) | ((word >> 1) & !low)
 }
 
 /// The candidate index of one request queue.
@@ -115,11 +126,9 @@ pub(crate) struct CandIndex {
     subranks: usize,
     /// Classes per rank: `2 * masks + 1` for `masks = 2^subranks - 1`.
     classes: usize,
-    /// Words per bitset.
-    words: usize,
     /// One record per queued request, in queue order.
     cands: Vec<Cand>,
-    /// Group membership, `words` words per group; group `g` is
+    /// Group membership, one word per group; group `g` is
     /// `rank * classes + class`.
     members: Vec<u64>,
     /// Per group, the minimum `ready` over its members (`u64::MAX` when
@@ -135,8 +144,16 @@ pub(crate) struct CandIndex {
     /// Per rank, one bit per non-empty group: the only groups a pass
     /// reads.
     occupied: Vec<u64>,
-    /// Bank membership, `words` words per `rank * banks + bank`.
+    /// Bank membership, one word per `rank * banks + bank`.
     bank_members: Vec<u64>,
+    /// Whether this index is deferred (its queue is not being served):
+    /// bank recomputes and term updates wait in `dirty` and `stale_terms`
+    /// until [`serve`](Self::serve).
+    deferred: bool,
+    /// Deferred only: per rank, one bit per bank whose records are stale.
+    dirty: Vec<u64>,
+    /// Deferred only: whether a command or refresh moved rank-level terms.
+    stale_terms: bool,
 }
 
 impl CandIndex {
@@ -154,22 +171,31 @@ impl CandIndex {
             subranks <= MAX_SUBRANKS,
             "the candidate index supports up to {MAX_SUBRANKS} sub-ranks"
         );
+        assert!(
+            capacity <= MAX_QUEUE,
+            "the candidate index holds up to {MAX_QUEUE} requests"
+        );
+        assert!(
+            banks <= 64,
+            "the candidate index supports up to 64 banks per rank"
+        );
         let classes = 2 * ((1 << subranks) - 1) + 1;
-        let words = capacity.div_ceil(64).max(1);
         let groups = ranks.len() * classes;
         let mut ix = Self {
             writes,
             banks,
             subranks,
             classes,
-            words,
             cands: Vec::with_capacity(capacity),
-            members: vec![0; groups * words],
+            members: vec![0; groups],
             min: vec![u64::MAX; groups],
             terms: vec![0; groups],
             at: vec![u64::MAX; groups],
             occupied: vec![0; ranks.len()],
-            bank_members: vec![0; ranks.len() * banks * words],
+            bank_members: vec![0; ranks.len() * banks],
+            deferred: false,
+            dirty: vec![0; ranks.len()],
+            stale_terms: false,
         };
         for (r, rank) in ranks.iter().enumerate() {
             ix.refresh_rank_terms(rank, r, t);
@@ -180,6 +206,79 @@ impl CandIndex {
     /// The record of the request at queue position `i`.
     pub(crate) fn cand(&self, i: usize) -> &Cand {
         &self.cands[i]
+    }
+
+    /// Whether the index is deferred: its records, minima and terms may
+    /// be stale, so no scheduler decision or bound may read it.
+    pub(crate) fn is_deferred(&self) -> bool {
+        self.deferred
+    }
+
+    /// Stops keeping the index current: its queue is no longer served.
+    pub(crate) fn defer(&mut self) {
+        debug_assert!(!self.deferred && !self.stale_terms);
+        debug_assert!(self.dirty.iter().all(|&d| d == 0));
+        self.deferred = true;
+    }
+
+    /// Makes a deferred index current again (its queue is now served):
+    /// recomputes the rank-level terms if any moved and every dirty bank,
+    /// leaving the index as a from-scratch build over the queue would.
+    pub(crate) fn serve(&mut self, ranks: &[Rank], t: &Timing) {
+        debug_assert!(self.deferred, "serving an index that is current");
+        self.deferred = false;
+        if std::mem::take(&mut self.stale_terms) {
+            for (r, rank) in ranks.iter().enumerate() {
+                self.refresh_rank_terms(rank, r, t);
+            }
+        }
+        for (r, rank) in ranks.iter().enumerate() {
+            for bank in ones(std::mem::take(&mut self.dirty[r])) {
+                self.refresh_bank(rank, r, bank);
+            }
+        }
+    }
+
+    /// A `pass` command to `bank` of rank `rank_idx`: the bank's rows or
+    /// timers moved, and so may the rank-level terms of the pass.
+    pub(crate) fn command(
+        &mut self,
+        pass: Pass,
+        rank: &Rank,
+        rank_idx: usize,
+        bank: usize,
+        t: &Timing,
+    ) {
+        if self.deferred {
+            self.stale_terms = true;
+        } else {
+            self.refresh_terms(pass, rank_idx, rank, t);
+        }
+        self.touch_bank(rank, rank_idx, bank);
+    }
+
+    /// A refresh of rank `rank_idx`: it closed every bank and moved the
+    /// rank's gate.
+    pub(crate) fn refresh(&mut self, rank: &Rank, rank_idx: usize, t: &Timing) {
+        if self.deferred {
+            self.stale_terms = true;
+            self.dirty[rank_idx] = u64::MAX >> (64 - self.banks);
+        } else {
+            self.refresh_rank_terms(rank, rank_idx, t);
+            for bank in 0..self.banks {
+                self.refresh_bank(rank, rank_idx, bank);
+            }
+        }
+    }
+
+    /// Recomputes `bank` of rank `rank_idx` now, or marks it dirty while
+    /// deferred.
+    fn touch_bank(&mut self, rank: &Rank, rank_idx: usize, bank: usize) {
+        if self.deferred {
+            self.dirty[rank_idx] |= 1 << bank;
+        } else {
+            self.refresh_bank(rank, rank_idx, bank);
+        }
     }
 
     /// Class numbering within a rank: CAS classes first (one per sub-rank
@@ -213,7 +312,8 @@ impl CandIndex {
         }
     }
 
-    /// Appends a request at the back of the queue and recomputes its bank.
+    /// Appends a request at the back of the queue and recomputes its bank
+    /// (marks it dirty while deferred).
     pub(crate) fn push(
         &mut self,
         rank: &Rank,
@@ -224,7 +324,7 @@ impl CandIndex {
         arrival: u64,
     ) {
         let i = self.cands.len();
-        debug_assert!(i < self.words * 64, "queue outgrew its index");
+        debug_assert!(i < MAX_QUEUE, "queue outgrew its index");
         self.cands.push(Cand {
             ready: 0,
             arrival,
@@ -237,20 +337,19 @@ impl CandIndex {
             eff: 0,
             group: NO_GROUP,
         });
-        let slot = rank_idx * self.banks + bank;
-        self.bank_members[slot * self.words + i / 64] |= 1 << (i % 64);
-        self.refresh_bank(rank, rank_idx, bank);
+        self.bank_members[rank_idx * self.banks + bank] |= 1 << i;
+        self.touch_bank(rank, rank_idx, bank);
     }
 
     /// Replaces the request at position `i` in place (a coalesced write:
     /// same line, same queue position, new width and arrival) and
-    /// recomputes its bank.
+    /// recomputes its bank (marks it dirty while deferred).
     pub(crate) fn replace(&mut self, rank: &Rank, i: usize, mask: u8, arrival: u64) {
         let c = &mut self.cands[i];
         c.mask = mask;
         c.arrival = arrival;
         let (r, b) = (c.rank, c.bank);
-        self.refresh_bank(rank, r, b);
+        self.touch_bank(rank, r, b);
     }
 
     /// Removes the request at position `i` (it issued its CAS). The caller
@@ -258,11 +357,8 @@ impl CandIndex {
     /// row gave the bank's conflicts is gone.
     pub(crate) fn remove(&mut self, i: usize) {
         let c = self.cands.remove(i);
-        for chunk in self.members.chunks_mut(self.words) {
-            remove_bit(chunk, i);
-        }
-        for chunk in self.bank_members.chunks_mut(self.words) {
-            remove_bit(chunk, i);
+        for w in self.members.iter_mut().chain(&mut self.bank_members) {
+            *w = remove_bit(*w, i);
         }
         if c.group != NO_GROUP {
             let g = c.rank * self.classes + c.group as usize;
@@ -274,12 +370,10 @@ impl CandIndex {
 
     /// Rederives group `g`'s minimum from its members.
     fn refresh_min(&mut self, g: usize) {
-        let mut min = u64::MAX;
-        for w in 0..self.words {
-            for b in ones(self.members[g * self.words + w]) {
-                min = min.min(self.cands[w * 64 + b].ready);
-            }
-        }
+        let min = ones(self.members[g])
+            .map(|i| self.cands[i].ready)
+            .min()
+            .unwrap_or(u64::MAX);
         self.set_min(g, min);
     }
 
@@ -307,7 +401,7 @@ impl CandIndex {
     /// nothing rank-level. Each term folds in the refresh gate, which
     /// only a refresh moves ([`refresh_rank`](Self::refresh_rank)
     /// recomputes all of them).
-    pub(crate) fn refresh_terms(&mut self, pass: Pass, rank_idx: usize, rank: &Rank, t: &Timing) {
+    fn refresh_terms(&mut self, pass: Pass, rank_idx: usize, rank: &Rank, t: &Timing) {
         let gate = rank.refresh_until;
         let base = rank_idx * self.classes;
         if pass == Pass::Pre {
@@ -335,50 +429,46 @@ impl CandIndex {
     /// sub-rank, the oldest arrival among members wanting that sub-bank's
     /// open row; the second uses that to split the row conflicts into
     /// unprotected (the PRE group) and fully protected (no group).
-    pub(crate) fn refresh_bank(&mut self, rank: &Rank, rank_idx: usize, bank: usize) {
-        let slot = (rank_idx * self.banks + bank) * self.words;
+    fn refresh_bank(&mut self, rank: &Rank, rank_idx: usize, bank: usize) {
+        let members = self.bank_members[rank_idx * self.banks + bank];
         let base = rank_idx * self.classes;
         let mut protect = [u64::MAX; MAX_SUBRANKS];
         // Groups whose cached minimum one of this bank's members held:
         // that member may have moved or left, so they are rederived from
         // their members; every other group only takes in new values.
         let mut stale = 0u64;
-        for w in 0..self.words {
-            for i in ones(self.bank_members[slot + w]).map(|b| w * 64 + b) {
-                let c = self.cands[i];
-                if c.group != NO_GROUP && c.ready == self.min[base + c.group as usize] {
-                    stale |= 1 << c.group;
-                }
-                let (class, ready, open, conflict) = self.walk(rank, &c);
-                for s in ones(open.into()) {
-                    protect[s] = protect[s].min(c.arrival);
-                }
-                let c = &mut self.cands[i];
-                c.class = class as u8;
-                c.ready = ready;
-                c.conflict = conflict;
+        for i in ones(members) {
+            let c = self.cands[i];
+            if c.group != NO_GROUP && c.ready == self.min[base + c.group as usize] {
+                stale |= 1 << c.group;
             }
+            let (class, ready, open, conflict) = self.walk(rank, &c);
+            for s in ones(open.into()) {
+                protect[s] = protect[s].min(c.arrival);
+            }
+            let c = &mut self.cands[i];
+            c.class = class as u8;
+            c.ready = ready;
+            c.conflict = conflict;
         }
-        for w in 0..self.words {
-            for i in ones(self.bank_members[slot + w]).map(|b| w * 64 + b) {
-                let c = self.cands[i];
-                // A conflicting sub-bank stays open while a request at
-                // least as old as this one wants its row.
-                let eff = ones(c.conflict.into())
-                    .filter(|&s| protect[s] > c.arrival)
-                    .fold(0u8, |m, s| m | 1 << s);
-                let group = if c.conflict != 0 && eff == 0 {
-                    NO_GROUP
-                } else {
-                    c.class
-                };
-                self.cands[i].eff = eff;
-                self.place(i, base, group);
-                if group != NO_GROUP {
-                    let g = base + group as usize;
-                    if c.ready < self.min[g] {
-                        self.set_min(g, c.ready);
-                    }
+        for i in ones(members) {
+            let c = self.cands[i];
+            // A conflicting sub-bank stays open while a request at least
+            // as old as this one wants its row.
+            let eff = ones(c.conflict.into())
+                .filter(|&s| protect[s] > c.arrival)
+                .fold(0u8, |m, s| m | 1 << s);
+            let group = if c.conflict != 0 && eff == 0 {
+                NO_GROUP
+            } else {
+                c.class
+            };
+            self.cands[i].eff = eff;
+            self.place(i, base, group);
+            if group != NO_GROUP {
+                let g = base + group as usize;
+                if c.ready < self.min[g] {
+                    self.set_min(g, c.ready);
                 }
             }
         }
@@ -430,22 +520,13 @@ impl CandIndex {
     fn place(&mut self, i: usize, base: usize, group: u8) {
         let old = std::mem::replace(&mut self.cands[i].group, group);
         if old != group {
-            let (w, bit) = (i / 64, 1u64 << (i % 64));
+            let bit = 1u64 << i;
             if old != NO_GROUP {
-                self.members[(base + old as usize) * self.words + w] &= !bit;
+                self.members[base + old as usize] &= !bit;
             }
             if group != NO_GROUP {
-                self.members[(base + group as usize) * self.words + w] |= bit;
+                self.members[base + group as usize] |= bit;
             }
-        }
-    }
-
-    /// Recomputes every bank of rank `rank_idx` (a refresh closed them
-    /// all and moved the rank's gate).
-    pub(crate) fn refresh_rank(&mut self, rank: &Rank, rank_idx: usize, t: &Timing) {
-        self.refresh_rank_terms(rank, rank_idx, t);
-        for bank in 0..self.banks {
-            self.refresh_bank(rank, rank_idx, bank);
         }
     }
 
@@ -519,16 +600,15 @@ impl CandIndex {
                 if self.at[g] > now {
                     continue;
                 }
-                'scan: for w in 0..self.words {
-                    for i in ones(self.members[g * self.words + w]).map(|b| w * 64 + b) {
-                        if i >= best {
-                            break 'scan;
-                        }
-                        if self.cands[i].ready <= now {
-                            best = i;
-                            break 'scan;
-                        }
-                    }
+                // Members below `best` only: the first ready one wins.
+                let below = if best < MAX_QUEUE {
+                    (1u64 << best) - 1
+                } else {
+                    u64::MAX
+                };
+                let mut members = ones(self.members[g] & below);
+                if let Some(i) = members.find(|&i| self.cands[i].ready <= now) {
+                    best = i;
                 }
             }
         }
@@ -541,16 +621,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn remove_bit_shifts_across_words() {
-        let mut w = [0b1011u64 | 1 << 63, 0b101];
-        remove_bit(&mut w, 1);
-        assert_eq!(w, [0b101 | 1 << 62 | 1 << 63, 0b10]);
-        let mut w = [1u64, 0];
-        remove_bit(&mut w, 0);
-        assert_eq!(w, [0, 0]);
-        let mut w = [0u64, 1];
-        remove_bit(&mut w, 63);
-        assert_eq!(w, [1 << 63, 0]);
+    fn remove_bit_shifts_higher_bits_down() {
+        assert_eq!(remove_bit(0b1011 | 1 << 63, 1), 0b101 | 1 << 62);
+        assert_eq!(remove_bit(1, 0), 0);
+        assert_eq!(remove_bit(1 << 63, 63), 0);
+        assert_eq!(remove_bit(u64::MAX, 0), u64::MAX >> 1);
     }
 
     #[test]

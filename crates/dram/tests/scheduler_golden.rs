@@ -113,15 +113,33 @@ const CASES: &[Case] = &[
         hot_pct: 0,
         derate: Some((1_500, 2_500, 2)),
     },
+    // Sparse reads between writes that never reach the drain watermark:
+    // the read queue empties and refills, so the served queue switches
+    // between reads and opportunistically served writes many times.
+    Case {
+        name: "opportunistic_writes",
+        seed: 0x5C4E_D005,
+        requests: 1_500,
+        max_gap: 16,
+        read_pct: 40,
+        half_pct: 30,
+        bank_groups: 4,
+        banks_per_group: 4,
+        rows: 4,
+        cols: 32,
+        hot_pct: 0,
+        derate: None,
+    },
 ];
 
-/// `(case, completions, stats, energy)` hashes recorded at the commit
-/// that introduced this suite.
+/// `(case, completions, stats, energy)` hashes, each recorded on the
+/// scheduler as it stood before the change that added its case.
 const GOLDEN: &[(&str, u64, u64, u64)] = &[
     ("mixed_widths", 0x91fb3c2f4b70a7f9, 0x1804887452ba2a86, 0xfc75e2fa8341dd89),
     ("write_drain", 0x1c1fba2c3b1d916e, 0x31250668e9601e1a, 0x9c85a45f418e303e),
     ("starved_read", 0x76581646a36125b5, 0x9461ccf6d8226d42, 0x51e089ef9a244d8f),
     ("read_derate", 0x588e61eff6f4d9cb, 0xaf26c8e858cc7171, 0x54e888766d4209ea),
+    ("opportunistic_writes", 0x4cf725dcf4e3c108, 0x1fbc29043b953d1d, 0xf7708a8475b3222c),
 ];
 
 /// The stream: `(offer cycle, request)` in offer order.
@@ -299,6 +317,14 @@ fn check_coverage(case: &Case, o: &Outcome) {
         }
         "read_derate" => {
             assert!(o.derated_rejections > 0, "read_derate: the derate rejected nothing");
+        }
+        "opportunistic_writes" => {
+            assert_eq!(total(|s| s.drain_episodes), 0, "opportunistic_writes: a drain started");
+            assert!(total(|s| s.drain_cycles) > 0, "opportunistic_writes: no write served");
+            assert!(
+                reads_done >= 100 && writes_done >= 100,
+                "opportunistic_writes: too few reads ({reads_done}) or writes ({writes_done})"
+            );
         }
         _ => unreachable!(),
     }

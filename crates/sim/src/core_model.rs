@@ -63,8 +63,6 @@ pub struct Core {
     pub occupancy: u32,
     /// Instructions retired since the last reset.
     pub retired: u64,
-    /// Local CPU cycle counter.
-    pub cpu_now: u64,
     /// Outstanding memory transactions (MSHR occupancy).
     pub outstanding: usize,
     /// Most outstanding transactions this core will sustain: the MSHR
@@ -114,7 +112,6 @@ impl Core {
             rob: VecDeque::new(),
             occupancy: 0,
             retired: 0,
-            cpu_now: 0,
             outstanding: 0,
             max_outstanding,
             need_issue: 0,
@@ -149,9 +146,9 @@ impl Core {
         }
     }
 
-    /// Retires up to `width` instructions from the ROB head; returns how
-    /// many retired.
-    pub fn retire(&mut self, width: u32) -> u32 {
+    /// Retires up to `width` instructions from the ROB head at CPU cycle
+    /// `cpu_now`; returns how many retired.
+    pub fn retire(&mut self, width: u32, cpu_now: u64) -> u32 {
         let mut budget = width;
         // Slots popped off the head shift every remaining index down, so
         // the `issue_from` bound must shift with them. A popped slot is
@@ -180,7 +177,7 @@ impl Core {
                     } else {
                         match *state {
                             MemState::Ready => true,
-                            MemState::WaitLlc(t) => t <= self.cpu_now,
+                            MemState::WaitLlc(t) => t <= cpu_now,
                             _ => false,
                         }
                     };
@@ -267,9 +264,9 @@ mod tests {
         let mut c = core();
         c.rob.push_back(Slot::Gap { remaining: 10 });
         c.occupancy = 10;
-        assert_eq!(c.retire(4), 4);
-        assert_eq!(c.retire(4), 4);
-        assert_eq!(c.retire(4), 2);
+        assert_eq!(c.retire(4, 0), 4);
+        assert_eq!(c.retire(4, 0), 4);
+        assert_eq!(c.retire(4, 0), 2);
         assert_eq!(c.retired, 10);
     }
 
@@ -284,10 +281,10 @@ mod tests {
         });
         c.rob.push_back(Slot::Gap { remaining: 8 });
         c.occupancy = 9;
-        assert_eq!(c.retire(4), 0, "load at head blocks");
+        assert_eq!(c.retire(4, 0), 0, "load at head blocks");
         c.outstanding = 1;
         c.complete_txn(7);
-        assert_eq!(c.retire(4), 4, "load + 3 gap instructions");
+        assert_eq!(c.retire(4, 0), 4, "load + 3 gap instructions");
     }
 
     #[test]
@@ -301,7 +298,7 @@ mod tests {
         });
         c.rob.push_back(Slot::Gap { remaining: 4 });
         c.occupancy = 5;
-        assert_eq!(c.retire(4), 4, "posted store retires immediately");
+        assert_eq!(c.retire(4, 0), 4, "posted store retires immediately");
     }
 
     #[test]
@@ -314,7 +311,7 @@ mod tests {
             known_miss: false,
         });
         c.occupancy = 1;
-        assert_eq!(c.retire(4), 0);
+        assert_eq!(c.retire(4, 0), 0);
     }
 
     #[test]
@@ -327,9 +324,7 @@ mod tests {
             known_miss: false,
         });
         c.occupancy = 1;
-        c.cpu_now = 19;
-        assert_eq!(c.retire(4), 0);
-        c.cpu_now = 20;
-        assert_eq!(c.retire(4), 1);
+        assert_eq!(c.retire(4, 19), 0);
+        assert_eq!(c.retire(4, 20), 1);
     }
 }

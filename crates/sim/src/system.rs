@@ -120,6 +120,9 @@ pub struct System {
     completion_scratch: Vec<attache_dram::Completion>,
     next_txn: u64,
     next_req: u64,
+    /// The CPU clock every core runs on: cores advance in lockstep under
+    /// both engines, so one counter serves them all.
+    cpu_now: u64,
     cpu_accum: u32,
     /// Event engine only: per-core cached wake cycle — the earliest bus
     /// cycle at which the core might do anything (`0` = unknown, forcing
@@ -127,6 +130,9 @@ pub struct System {
     /// [`bus_tick_event`](Self::bus_tick_event); the per-cycle engine
     /// ignores it.
     core_wake: Vec<u64>,
+    /// Event engine only: scratch for the cores a bus tick steps (those
+    /// whose wake has come), collected once per tick.
+    awake: Vec<usize>,
     /// Event engine only: the backend's
     /// [`aggregate_accept_gen`](DramBackend::aggregate_accept_gen) taken
     /// just before the last retry flush pass. While unchanged, every
@@ -307,8 +313,10 @@ impl System {
             completion_scratch: Vec::new(),
             next_txn: 0,
             next_req: 0,
+            cpu_now: 0,
             cpu_accum: 0,
             core_wake: vec![0; cfg.core.cores],
+            awake: Vec::with_capacity(cfg.core.cores),
             flush_gen: u64::MAX,
             issue_env_gen: 0,
             retick: false,
@@ -387,14 +395,17 @@ impl System {
     ///   attempt while it is unchanged is a guaranteed rejection, i.e. a
     ///   no-op;
     /// * cores sleeping until a cached wake cycle (`core_wake`) skip their
-    ///   CPU cycles entirely (each is provably a pure `cpu_now`
-    ///   increment). Wakes are invalidated whenever state they depend on
-    ///   can change: the waiter cores of a finishing transaction (ready
-    ///   data, MSHR release) and every core on a retry-queue shrink
-    ///   (issue-gate headroom). Cross-core coupling needs no wider
-    ///   invalidation: per-core footprints are disjoint, and the LLC/retry
-    ///   effects of one core's activity can only keep a blocked core
-    ///   blocked, never wake it mid-tick.
+    ///   CPU cycles entirely (each would only have seen the shared clock
+    ///   tick): the awake cores are collected once per bus tick, and only
+    ///   they are stepped. Wakes are invalidated whenever state they
+    ///   depend on can change: the waiter cores of a finishing
+    ///   transaction (ready data, MSHR release) and every core on a
+    ///   retry-queue shrink (issue-gate headroom). Both happen before the
+    ///   CPU cycles, never inside them, so the set holds for the whole
+    ///   tick. Cross-core coupling needs no wider invalidation: per-core
+    ///   footprints are disjoint, and the LLC/retry effects of one core's
+    ///   activity can only keep a blocked core blocked, never wake it
+    ///   mid-tick.
     fn bus_tick_event(&mut self) {
         self.mem.tick_event();
         let mut completions = std::mem::take(&mut self.completion_scratch);
@@ -428,42 +439,37 @@ impl System {
 
         self.cpu_accum += self.cfg.core.cpu_cycles_per_2_bus_cycles;
         let now = self.mem.now();
+        let mut awake = std::mem::take(&mut self.awake);
+        awake.extend((0..self.cores.len()).filter(|&i| self.core_wake[i] <= now));
+        let mut cores = std::mem::take(&mut self.cores);
         while self.cpu_accum >= 2 {
             self.cpu_accum -= 2;
-            let mut cores = std::mem::take(&mut self.cores);
-            for core in &mut cores {
-                if self.core_wake[core.id] > now {
-                    core.cpu_now += 1;
-                } else {
-                    self.cpu_cycle(core);
-                }
+            for &i in &awake {
+                self.cpu_cycle(&mut cores[i]);
             }
-            self.cores = cores;
+            self.cpu_now += 1;
         }
-        for i in 0..self.cores.len() {
-            if self.core_wake[i] <= now {
-                let wake = self.core_horizon(&self.cores[i], now);
-                self.core_wake[i] = wake;
-            }
+        self.cores = cores;
+        for &i in &awake {
+            self.core_wake[i] = self.core_horizon(&self.cores[i], now);
         }
+        awake.clear();
+        self.awake = awake;
         self.inject_faults_tick();
         self.scrub_tick();
         self.observe_tick();
     }
 
     /// Skips `span` bus cycles known to be event-free: bulk-accounts DRAM
-    /// background power and drain-cycle statistics, and advances each
-    /// core's CPU clock by the cycles the per-cycle engine would have run
-    /// (all of them no-ops — every core is quiescent during the span).
+    /// background power and drain-cycle statistics, and advances the CPU
+    /// clock by the cycles the per-cycle engine would have run (all of
+    /// them no-ops — every core is quiescent during the span).
     fn advance(&mut self, span: u64) {
         self.mem.advance_noop(span);
         let total =
             self.cpu_accum as u64 + self.cfg.core.cpu_cycles_per_2_bus_cycles as u64 * span;
-        let cpu_cycles = total / 2;
+        self.cpu_now += total / 2;
         self.cpu_accum = (total % 2) as u32;
-        for core in &mut self.cores {
-            core.cpu_now += cpu_cycles;
-        }
     }
 
     /// The earliest future bus cycle at which the next bus tick would do
@@ -578,7 +584,7 @@ impl System {
                 } else {
                     match state {
                         MemState::Ready => true,
-                        MemState::WaitLlc(t) => *t <= core.cpu_now,
+                        MemState::WaitLlc(t) => *t <= self.cpu_now,
                         _ => false,
                     }
                 };
@@ -590,7 +596,7 @@ impl System {
                     // `cpu_now >= t`, i.e. after d = t - cpu_now + 1 more
                     // CPU cycles; each bus tick runs (accum + ratio)/2 of
                     // them, so the first tick with ratio*n >= 2d - accum.
-                    let d = *t - core.cpu_now + 1;
+                    let d = *t - self.cpu_now + 1;
                     let ratio = self.cfg.core.cpu_cycles_per_2_bus_cycles as u64;
                     let n = (2 * d - self.cpu_accum as u64).div_ceil(ratio);
                     return now + n.max(1);
@@ -625,14 +631,15 @@ impl System {
         self.flush_retries(false);
 
         self.cpu_accum += self.cfg.core.cpu_cycles_per_2_bus_cycles;
+        let mut cores = std::mem::take(&mut self.cores);
         while self.cpu_accum >= 2 {
             self.cpu_accum -= 2;
-            let mut cores = std::mem::take(&mut self.cores);
             for core in &mut cores {
                 self.cpu_cycle(core);
             }
-            self.cores = cores;
+            self.cpu_now += 1;
         }
+        self.cores = cores;
         self.inject_faults_tick();
         self.scrub_tick();
         self.observe_tick();
@@ -835,8 +842,7 @@ impl System {
             }
         }
 
-        core.retire(self.cfg.core.issue_width);
-        core.cpu_now += 1;
+        core.retire(self.cfg.core.issue_width, self.cpu_now);
     }
 
     /// Attempts to issue one memory operation; `None` means "stall, retry
@@ -873,7 +879,7 @@ impl System {
             return Some(if is_write {
                 MemState::Ready
             } else {
-                MemState::WaitLlc(core.cpu_now + self.llc.latency())
+                MemState::WaitLlc(self.cpu_now + self.llc.latency())
             });
         }
 

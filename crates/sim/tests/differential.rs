@@ -233,6 +233,39 @@ fn event_engine_stops_on_the_target_tick_on_eight_channels() {
 }
 
 #[test]
+fn engines_agree_on_sixty_four_cores() {
+    // The event engine collects the cores whose wake has come once per
+    // bus tick and steps only those; on scale64's 64 cores (eight per
+    // channel of scale8) that set is at its widest, and pointer chases
+    // keep it changing as each core sleeps and wakes on its own misses.
+    let mcf = Profile::by_name("mcf").expect("catalog profile");
+    for (s, profile) in [
+        (MetadataStrategyKind::Baseline, mcf),
+        (MetadataStrategyKind::Attache, Profile::chase()),
+    ] {
+        let mut cfg = SimConfig::scale8_baseline()
+            .with_strategy(s)
+            .with_instructions(1_500, 500);
+        assert_eq!(cfg.core.cores, 64);
+        cfg.engine = EngineKind::Cycle;
+        let cycle = System::run_rate_mode(&cfg, profile.clone(), 41);
+        cfg.engine = EngineKind::Event;
+        let event = System::run_rate_mode(&cfg, profile.clone(), 41);
+        assert_eq!(
+            cycle, event,
+            "engines disagree on 64 cores for {s} on {}",
+            profile.name
+        );
+        assert_eq!(
+            cycle.energy.total_pj().to_bits(),
+            event.energy.total_pj().to_bits(),
+            "64-core energy bits disagree for {s} on {}",
+            profile.name
+        );
+    }
+}
+
+#[test]
 fn engines_agree_on_a_mix() {
     let mix = mixes().remove(0);
     let mut cfg = quick(MetadataStrategyKind::Attache).with_instructions(5_000, 1_000);

@@ -25,7 +25,9 @@
 #                        |   auditor, sim backends suite per engine)
 #   knob audit           | workspace tests; engines (env_knobs per engine)
 #   scheduler decision   | workspace tests (dram scheduler_golden: both tick
-#     identity           |   paths against FNV literals)
+#     identity           |   paths against FNV literals); engines (the same
+#                        |   suite in a debug build, where the event path's
+#                        |   cached-bound and served-index asserts are live)
 #   benchmark simulated  | repository benchmark (--smoke sim_fingerprint
 #     results            |   lines against tests/goldens/benchmark_smoke.fingerprints)
 set -euo pipefail
@@ -55,6 +57,12 @@ for engine in cycle event; do
         --test golden_stats --test observability --test env_knobs --test faults \
         --test integrity --test cram_collision --test strategy_exhaustiveness
 done
+# Every pass above is a release build, where debug assertions compile
+# out: among them the checks that a cached scheduling bound never skips
+# a command (`tick_retire_only`, `advance_noop`) and that no pass or bound
+# reads a deferred candidate index. The DRAM crate's own tests, run once
+# in a debug build, drive those asserts on both tick paths.
+cargo test -q -p attache-dram
 
 # With every integrity knob explicitly disarmed no integrity engine is
 # constructed, and with the content-keyed compression memo off every
