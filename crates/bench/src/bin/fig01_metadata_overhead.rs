@@ -20,7 +20,9 @@ fn main() {
     let mut sum = 0.0;
     let names = ResultSet::workload_names();
     for w in &names {
-        let mc = set.get(w, MetadataStrategyKind::MetadataCache).expect("row");
+        let mc = set
+            .get(w, MetadataStrategyKind::MetadataCache)
+            .expect("row");
         let ovh = mc.metadata_traffic_overhead();
         worst = worst.max(ovh);
         sum += ovh;

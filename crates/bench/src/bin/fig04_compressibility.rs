@@ -40,5 +40,8 @@ fn main() {
     }
     println!();
     println!("paper   : 50% average");
-    println!("measured: {:.1}% average", 100.0 * acc / profiles.len() as f64);
+    println!(
+        "measured: {:.1}% average",
+        100.0 * acc / profiles.len() as f64
+    );
 }

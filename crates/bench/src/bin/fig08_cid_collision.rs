@@ -47,21 +47,28 @@ fn main() {
     );
     // The three CID widths are independent samples; fan out across workers.
     let trials = [(10u8, 400_000u64), (12, 400_000), (14, 800_000)];
-    let counted = parallel_map(ExperimentConfig::from_env().workers(), &trials, |_, &(bits, n)| {
-        let blem = Blem::with_config(7, CidConfig::new(bits));
-        let mut collisions = 0u64;
-        for i in 0..n {
-            let data = incompressible_block(i * 2 + 1);
-            let (compressed, collision) = blem.probe_line(i, &data);
-            if !compressed && collision {
-                collisions += 1;
+    let counted = parallel_map(
+        ExperimentConfig::from_env().workers(),
+        &trials,
+        |_, &(bits, n)| {
+            let blem = Blem::with_config(7, CidConfig::new(bits));
+            let mut collisions = 0u64;
+            for i in 0..n {
+                let data = incompressible_block(i * 2 + 1);
+                let (compressed, collision) = blem.probe_line(i, &data);
+                if !compressed && collision {
+                    collisions += 1;
+                }
             }
-        }
-        collisions
-    });
+            collisions
+        },
+    );
     for (&(bits, n), collisions) in trials.iter().zip(&counted) {
         let expected = n as f64 / (1u64 << bits) as f64;
-        println!("{:>9} {:>12} {:>12} {:>12.1}", bits, n, collisions, expected);
+        println!(
+            "{:>9} {:>12} {:>12} {:>12.1}",
+            bits, n, collisions, expected
+        );
     }
     println!();
     println!("paper   : 0.003% of accesses need the Replacement Area (15-bit CID)");

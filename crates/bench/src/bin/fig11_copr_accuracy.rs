@@ -11,12 +11,19 @@ fn main() {
     let set = ResultSet::ensure(&cfg);
 
     println!("Fig. 11 — COPR prediction accuracy");
-    println!("{:<12} {:>10} {:>14}", "workload", "accuracy", "mc hit-rate");
+    println!(
+        "{:<12} {:>10} {:>14}",
+        "workload", "accuracy", "mc hit-rate"
+    );
     let mut acc = Vec::new();
     let mut hit = Vec::new();
     for w in ResultSet::workload_names() {
-        let att = set.get(&w, MetadataStrategyKind::Attache).expect("attache row");
-        let mc = set.get(&w, MetadataStrategyKind::MetadataCache).expect("mc row");
+        let att = set
+            .get(&w, MetadataStrategyKind::Attache)
+            .expect("attache row");
+        let mc = set
+            .get(&w, MetadataStrategyKind::MetadataCache)
+            .expect("mc row");
         acc.push(att.copr_accuracy);
         hit.push(mc.metadata_cache_hit_rate);
         println!(

@@ -18,7 +18,9 @@ fn main() {
     );
     let mut per_strategy: Vec<Vec<f64>> = vec![Vec::new(); 3];
     for w in ResultSet::workload_names() {
-        let base = set.get(&w, MetadataStrategyKind::Baseline).expect("baseline row");
+        let base = set
+            .get(&w, MetadataStrategyKind::Baseline)
+            .expect("baseline row");
         let mut cells = Vec::new();
         for (i, s) in [
             MetadataStrategyKind::MetadataCache,

@@ -23,7 +23,9 @@ fn main() {
     let mut bw_gain = Vec::new();
     let mut lat_ratio = Vec::new();
     for w in ResultSet::workload_names() {
-        let base = set.get(&w, MetadataStrategyKind::Baseline).expect("baseline");
+        let base = set
+            .get(&w, MetadataStrategyKind::Baseline)
+            .expect("baseline");
         let att = set.get(&w, MetadataStrategyKind::Attache).expect("attache");
         let thr = |r: &attache_bench::ResultRow| {
             (r.demand_reads + r.data_writes) as f64 / (r.bus_cycles as f64 * BUS_CYCLE_NS / 1000.0)

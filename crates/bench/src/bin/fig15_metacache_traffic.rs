@@ -20,8 +20,12 @@ fn main() {
     let mut totals = Vec::new();
     let mut read_share_acc = Vec::new();
     for w in ResultSet::workload_names() {
-        let base = set.get(&w, MetadataStrategyKind::Baseline).expect("baseline");
-        let mc = set.get(&w, MetadataStrategyKind::MetadataCache).expect("mc");
+        let base = set
+            .get(&w, MetadataStrategyKind::Baseline)
+            .expect("baseline");
+        let mc = set
+            .get(&w, MetadataStrategyKind::MetadataCache)
+            .expect("mc");
         let base_requests = (base.demand_reads + base.data_writes) as f64;
         let normalized = mc.total_requests() as f64 / base_requests;
         let meta_reads = mc.metadata_reads as f64 / base_requests;

@@ -4,7 +4,9 @@
 //! Paper: PaPR alone buys 11.5% speedup, adding GI reaches 15.3%, and
 //! LiPR matters mainly for the mixed workloads.
 
-use attache_bench::{geo_mean, CoprVariant, ExperimentConfig, Grid, JobSpec, ResultSet, WorkloadRef};
+use attache_bench::{
+    geo_mean, CoprVariant, ExperimentConfig, Grid, JobSpec, ResultSet, WorkloadRef,
+};
 use attache_sim::MetadataStrategyKind;
 use attache_workloads::mixes;
 

@@ -37,7 +37,9 @@ fn main() {
     let mut overheads: Vec<Vec<f64>> = vec![Vec::new(); RIVALS.len()];
     let mut correctives: Vec<Vec<f64>> = vec![Vec::new(); RIVALS.len()];
     for w in ResultSet::workload_names() {
-        let base = set.get(&w, MetadataStrategyKind::Baseline).expect("baseline row");
+        let base = set
+            .get(&w, MetadataStrategyKind::Baseline)
+            .expect("baseline row");
         let mut cells = Vec::new();
         for (i, s) in RIVALS.into_iter().enumerate() {
             let r = set.get(&w, s).expect("strategy row");
@@ -65,10 +67,8 @@ fn main() {
         "strategy", "speedup", "energy", "extra-traffic", "corrective"
     );
     for (i, s) in RIVALS.into_iter().enumerate() {
-        let mean_ovh =
-            overheads[i].iter().sum::<f64>() / overheads[i].len().max(1) as f64;
-        let mean_corr =
-            correctives[i].iter().sum::<f64>() / correctives[i].len().max(1) as f64;
+        let mean_ovh = overheads[i].iter().sum::<f64>() / overheads[i].len().max(1) as f64;
+        let mean_corr = correctives[i].iter().sum::<f64>() / correctives[i].len().max(1) as f64;
         println!(
             "{:<15} {:>8.3}x {:>8.1}% {:>13.2}% {:>10.2}%",
             s.to_string(),

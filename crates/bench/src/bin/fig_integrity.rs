@@ -102,7 +102,14 @@ fn main() {
     println!("determinism: engines bit-identical under armed integrity knobs");
     println!(
         "{:<14} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "strategy", "ber_ppm", "corr/kRd", "uncor/MRd", "recovered", "data_loss", "silent/kRd", "amp"
+        "strategy",
+        "ber_ppm",
+        "corr/kRd",
+        "uncor/MRd",
+        "recovered",
+        "data_loss",
+        "silent/kRd",
+        "amp"
     );
 
     let mut rows = String::new();

@@ -334,10 +334,7 @@ impl JobSpec {
 
     /// [`execute`](Self::execute) plus the run's observability output
     /// when any `ATTACHE_EPOCH`/`ATTACHE_TRACE_RING` knob is on.
-    pub fn execute_observed(
-        &self,
-        cfg: &ExperimentConfig,
-    ) -> (RunReport, Option<Observation>) {
+    pub fn execute_observed(&self, cfg: &ExperimentConfig) -> (RunReport, Option<Observation>) {
         let sim = self.sim_config(cfg);
         let seed = self.seed(cfg.seed);
         match &self.workload {
@@ -555,9 +552,18 @@ mod tests {
 
     #[test]
     fn seeds_are_stable_and_distinct_across_grid_points() {
-        let a = JobSpec::new(WorkloadRef::Rate("mcf".into()), MetadataStrategyKind::Attache);
-        let b = JobSpec::new(WorkloadRef::Rate("lbm".into()), MetadataStrategyKind::Attache);
-        let c = JobSpec::new(WorkloadRef::Rate("mcf".into()), MetadataStrategyKind::Baseline);
+        let a = JobSpec::new(
+            WorkloadRef::Rate("mcf".into()),
+            MetadataStrategyKind::Attache,
+        );
+        let b = JobSpec::new(
+            WorkloadRef::Rate("lbm".into()),
+            MetadataStrategyKind::Attache,
+        );
+        let c = JobSpec::new(
+            WorkloadRef::Rate("mcf".into()),
+            MetadataStrategyKind::Baseline,
+        );
         assert_eq!(a.seed(42), a.seed(42), "same job, same seed");
         assert_ne!(a.seed(42), b.seed(42), "workload changes the seed");
         assert_ne!(a.seed(42), c.seed(42), "strategy changes the seed");
@@ -569,7 +575,10 @@ mod tests {
 
     #[test]
     fn cache_key_covers_run_length_and_seed() {
-        let job = JobSpec::new(WorkloadRef::Rate("mcf".into()), MetadataStrategyKind::Attache);
+        let job = JobSpec::new(
+            WorkloadRef::Rate("mcf".into()),
+            MetadataStrategyKind::Attache,
+        );
         let base = job.cache_key(&cfg());
         let mut longer = cfg();
         longer.instructions = 20_000;
@@ -586,7 +595,10 @@ mod tests {
         // miss — both at the path level (different file) and at the
         // content level (embedded canonical key rejects the stale file
         // even if the paths ever collided).
-        let job = JobSpec::new(WorkloadRef::Rate("mcf".into()), MetadataStrategyKind::Attache);
+        let job = JobSpec::new(
+            WorkloadRef::Rate("mcf".into()),
+            MetadataStrategyKind::Attache,
+        );
         let base = ExperimentConfig {
             instructions: 300,
             warmup: 0,
@@ -594,10 +606,8 @@ mod tests {
             backend: BackendKind::Cycle,
         };
         let report = job.execute(&base);
-        let dir = std::env::temp_dir().join(format!(
-            "attache-grid-cache-test-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("attache-grid-cache-test-{}", std::process::id()));
         let path = dir.join("report.report");
         let key = job.cache_key(&base);
         store_cached(&path, &report, &key);
@@ -607,10 +617,30 @@ mod tests {
             "identical config must hit the memo (report roundtrips bit-exactly)"
         );
         for changed in [
-            ExperimentConfig { instructions: 600, warmup: 0, seed: 42, backend: BackendKind::Cycle },
-            ExperimentConfig { instructions: 300, warmup: 100, seed: 42, backend: BackendKind::Cycle },
-            ExperimentConfig { instructions: 300, warmup: 0, seed: 43, backend: BackendKind::Cycle },
-            ExperimentConfig { instructions: 300, warmup: 0, seed: 42, backend: BackendKind::Fast },
+            ExperimentConfig {
+                instructions: 600,
+                warmup: 0,
+                seed: 42,
+                backend: BackendKind::Cycle,
+            },
+            ExperimentConfig {
+                instructions: 300,
+                warmup: 100,
+                seed: 42,
+                backend: BackendKind::Cycle,
+            },
+            ExperimentConfig {
+                instructions: 300,
+                warmup: 0,
+                seed: 43,
+                backend: BackendKind::Cycle,
+            },
+            ExperimentConfig {
+                instructions: 300,
+                warmup: 0,
+                seed: 42,
+                backend: BackendKind::Fast,
+            },
         ] {
             let changed_key = job.cache_key(&changed);
             assert_ne!(key, changed_key, "config change must change the key");
@@ -646,12 +676,7 @@ mod tests {
         let labels: Vec<String> = grid.jobs().iter().map(|j| j.label()).collect();
         assert_eq!(
             labels,
-            [
-                "mcf/Baseline",
-                "lbm/Baseline",
-                "mcf/Attache",
-                "lbm/Attache"
-            ]
+            ["mcf/Baseline", "lbm/Baseline", "mcf/Attache", "lbm/Attache"]
         );
     }
 
@@ -670,10 +695,7 @@ mod tests {
 
     #[test]
     fn workload_by_name_resolves_both_catalogs() {
-        assert_eq!(
-            WorkloadRef::by_name("mcf"),
-            WorkloadRef::Rate("mcf".into())
-        );
+        assert_eq!(WorkloadRef::by_name("mcf"), WorkloadRef::Rate("mcf".into()));
         assert_eq!(
             WorkloadRef::by_name("mix1"),
             WorkloadRef::Mix("mix1".into())
@@ -706,10 +728,8 @@ mod tests {
 
     #[test]
     fn corrupt_cache_file_reads_as_miss() {
-        let dir = std::env::temp_dir().join(format!(
-            "attache-grid-corrupt-test-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("attache-grid-corrupt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.report");
         std::fs::write(&path, "}{ definitely not a report \u{0}\u{1}").unwrap();
@@ -726,7 +746,10 @@ mod tests {
         // can never satisfy a cycle probe) while leaving cycle-model keys
         // byte-identical to the pre-backend-axis format, so the existing
         // cache population survives the upgrade.
-        let job = JobSpec::new(WorkloadRef::Rate("mcf".into()), MetadataStrategyKind::Attache);
+        let job = JobSpec::new(
+            WorkloadRef::Rate("mcf".into()),
+            MetadataStrategyKind::Attache,
+        );
         let cycle = cfg();
         let mut fast = cfg();
         fast.backend = BackendKind::Fast;

@@ -272,10 +272,7 @@ impl ResultSet {
     }
 
     /// `(row, baseline_row)` pairs for one strategy across all workloads.
-    pub fn with_baseline(
-        &self,
-        strategy: MetadataStrategyKind,
-    ) -> Vec<(&ResultRow, &ResultRow)> {
+    pub fn with_baseline(&self, strategy: MetadataStrategyKind) -> Vec<(&ResultRow, &ResultRow)> {
         Self::workload_names()
             .iter()
             .filter_map(|w| {

@@ -85,8 +85,7 @@ impl ExperimentConfig {
     /// `ATTACHE_NO_CACHE` environment variable or a `--no-cache`
     /// command-line argument.
     pub fn cache_enabled(&self) -> bool {
-        !env_flag("ATTACHE_NO_CACHE")
-            && !std::env::args().any(|a| a == "--no-cache")
+        !env_flag("ATTACHE_NO_CACHE") && !std::env::args().any(|a| a == "--no-cache")
     }
 
     /// The results directory (`ATTACHE_RESULTS`, default `results`).

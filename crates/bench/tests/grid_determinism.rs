@@ -72,10 +72,7 @@ fn cleanup_env() {
 }
 
 fn temp_dir(tag: &str) -> String {
-    let dir = std::env::temp_dir().join(format!(
-        "attache-grid-test-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("attache-grid-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir.to_string_lossy().into_owned()
 }
@@ -128,7 +125,10 @@ fn cache_round_trips_and_misses_on_config_change() {
     let good = std::fs::read(victim).unwrap();
     std::fs::write(victim, b"}} definitely not a report {{").unwrap();
     let healed = grid.run(&cfg);
-    assert_eq!(first, healed, "a corrupt cache entry must re-run to the same report");
+    assert_eq!(
+        first, healed,
+        "a corrupt cache entry must re-run to the same report"
+    );
     assert_eq!(
         std::fs::read(victim).unwrap(),
         good,

@@ -62,7 +62,7 @@ mod tests {
     }
 
     #[test]
-    fn sets_are_independent(){
+    fn sets_are_independent() {
         let mut lru = Lru::new(2, 2);
         lru.on_fill(0, 0, 0);
         lru.on_fill(0, 1, 0);

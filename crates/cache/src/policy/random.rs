@@ -52,6 +52,9 @@ mod tests {
             assert!(v < 8);
             seen[v] = true;
         }
-        assert!(seen.iter().filter(|&&s| s).count() >= 6, "should hit most ways");
+        assert!(
+            seen.iter().filter(|&&s| s).count() >= 6,
+            "should hit most ways"
+        );
     }
 }

@@ -228,7 +228,10 @@ impl SetAssocCache {
         };
         self.policy.on_fill(set, way, signature);
 
-        AccessOutcome { hit: false, evicted }
+        AccessOutcome {
+            hit: false,
+            evicted,
+        }
     }
 
     /// Marks an already-resident line dirty; returns whether it was present.

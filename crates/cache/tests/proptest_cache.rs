@@ -27,7 +27,11 @@ fn stats_always_balance() {
         let accesses: Vec<(u64, bool)> = (0..1 + g.below(400))
             .map(|_| (g.below(512), g.bool()))
             .collect();
-        let mut c = SetAssocCache::new(CacheConfig { sets: 8, ways: 2, policy });
+        let mut c = SetAssocCache::new(CacheConfig {
+            sets: 8,
+            ways: 2,
+            policy,
+        });
         for (addr, write) in &accesses {
             c.access(*addr, *write, addr >> 3);
         }
@@ -49,7 +53,11 @@ fn resident_line_hits_immediately() {
         let noise = g.vec(0, 16, 10_000);
         // A large cache: the noise cannot evict `addr` (distinct sets or
         // enough ways).
-        let mut c = SetAssocCache::new(CacheConfig { sets: 4096, ways: 8, policy });
+        let mut c = SetAssocCache::new(CacheConfig {
+            sets: 4096,
+            ways: 8,
+            policy,
+        });
         c.access(addr, false, 0);
         for n in &noise {
             if n % 4096 != addr % 4096 {
@@ -68,7 +76,11 @@ fn eviction_address_reconstruction_is_exact() {
         let policy = policy_for(case);
         let tags = g.vec(2, 40, 64);
         // Single set, single way: every miss evicts the previous line.
-        let mut c = SetAssocCache::new(CacheConfig { sets: 1, ways: 1, policy });
+        let mut c = SetAssocCache::new(CacheConfig {
+            sets: 1,
+            ways: 1,
+            policy,
+        });
         let mut resident: Option<u64> = None;
         for t in tags {
             let out = c.access(t, false, 0);
@@ -90,7 +102,11 @@ fn eviction_address_reconstruction_is_exact() {
 fn dirty_bit_follows_writes() {
     for policy in PolicyKind::ALL {
         for write_first in [false, true] {
-            let mut c = SetAssocCache::new(CacheConfig { sets: 1, ways: 1, policy });
+            let mut c = SetAssocCache::new(CacheConfig {
+                sets: 1,
+                ways: 1,
+                policy,
+            });
             c.access(1, write_first, 0);
             let out = c.access(2, false, 0);
             assert_eq!(
@@ -108,7 +124,11 @@ fn invalidate_then_probe_is_false() {
     for case in 0..CASES {
         let policy = policy_for(case);
         let addrs = g.vec(1, 64, 256);
-        let mut c = SetAssocCache::new(CacheConfig { sets: 16, ways: 4, policy });
+        let mut c = SetAssocCache::new(CacheConfig {
+            sets: 16,
+            ways: 4,
+            policy,
+        });
         for a in &addrs {
             c.access(*a, false, 0);
         }

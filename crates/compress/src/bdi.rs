@@ -165,10 +165,17 @@ impl Bdi {
                 let n = BLOCK_SIZE / base_size;
                 let mask_len = n.div_ceil(8);
                 let use_base = load_le(payload, 1, mask_len);
-                let base = sign_extend(load_le(payload, 1 + mask_len, base_size), base_size as u32 * 8);
+                let base = sign_extend(
+                    load_le(payload, 1 + mask_len, base_size),
+                    base_size as u32 * 8,
+                );
                 let deltas_off = 1 + mask_len + base_size;
                 let elem_bits = base_size as u32 * 8;
-                let elem_mask = if elem_bits == 64 { u64::MAX } else { (1u64 << elem_bits) - 1 };
+                let elem_mask = if elem_bits == 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << elem_bits) - 1
+                };
                 for i in 0..n {
                     let raw = load_le(payload, deltas_off + i * delta_size, delta_size);
                     let delta = sign_extend(raw, delta_size as u32 * 8);
@@ -468,7 +475,8 @@ pub mod scalar {
                 let image = try_base_delta(block, enc).expect("encoding was validated");
                 payload[len..len + mask_len].copy_from_slice(&image.mask[..mask_len]);
                 len += mask_len;
-                payload[len..len + base_size].copy_from_slice(&image.base.to_le_bytes()[..base_size]);
+                payload[len..len + base_size]
+                    .copy_from_slice(&image.base.to_le_bytes()[..base_size]);
                 len += base_size;
                 for d in &image.deltas[..image.n] {
                     payload[len..len + delta_size].copy_from_slice(&d.to_le_bytes()[..delta_size]);
@@ -659,7 +667,9 @@ mod tests {
         let mut block = [0u8; 64];
         let mut state = 0x1234_5678_9ABC_DEFFu64;
         for b in block.iter_mut() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             *b = (state >> 33) as u8;
         }
         assert_eq!(Bdi::best_encoding(&block), None);

@@ -749,11 +749,7 @@ mod tests {
             0x1234_5678,
         ];
         for w in probes {
-            assert_eq!(
-                classify_word(w),
-                scalar::classify_word(w),
-                "word {w:#010x}"
-            );
+            assert_eq!(classify_word(w), scalar::classify_word(w), "word {w:#010x}");
         }
     }
 
@@ -770,9 +766,9 @@ mod tests {
             let w = (state as u32) | 0x0180_8000;
             chunk.copy_from_slice(&w.to_le_bytes());
         }
-        let all_uncompressed = block
-            .chunks_exact(4)
-            .all(|c| classify_word(u32::from_le_bytes(c.try_into().unwrap())) == Pattern::Uncompressed);
+        let all_uncompressed = block.chunks_exact(4).all(|c| {
+            classify_word(u32::from_le_bytes(c.try_into().unwrap())) == Pattern::Uncompressed
+        });
         if all_uncompressed {
             assert!(Fpc::new().compress(&block).is_none());
         }
@@ -782,7 +778,7 @@ mod tests {
     fn two_halves_roundtrip_with_negative_halves() {
         let mut block = [0u8; 64];
         let w: u32 = 0x00FF_FF80; // halves: 0xFF80 (-128) and 0x00FF... (255? no: 0x00FF = 255, not extended byte)
-        // Build a word whose halves are sign-extended bytes: lo=-5 (0xFFFB), hi=3 (0x0003).
+                                  // Build a word whose halves are sign-extended bytes: lo=-5 (0xFFFB), hi=3 (0x0003).
         let word = 0xFFFBu32 | (0x0003u32 << 16);
         assert_eq!(classify_word(word), Pattern::TwoHalves);
         let _ = w;

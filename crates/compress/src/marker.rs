@@ -182,8 +182,9 @@ mod tests {
             MarkerCodec::from_seed(42).marker_word(),
             MarkerCodec::from_seed(42).marker_word()
         );
-        let distinct: std::collections::HashSet<u16> =
-            (0..128u64).map(|s| MarkerCodec::from_seed(s).marker_word()).collect();
+        let distinct: std::collections::HashSet<u16> = (0..128u64)
+            .map(|s| MarkerCodec::from_seed(s).marker_word())
+            .collect();
         assert!(distinct.len() > 100, "seed draw should spread markers");
     }
 }

@@ -280,8 +280,22 @@ fn fpc_pattern_classes_agree() {
     }
     // A mixed line covering all classes at once, including Uncompressed.
     let words: [u32; 16] = [
-        0, 0, 0, 7, 0xFFFF_FF80, 30_000, 0x1234_0000, 0x0042_0017, 0xABAB_ABAB, 0x1234_5678, 0, 5,
-        0, 0, 0, 0x8000_0000,
+        0,
+        0,
+        0,
+        7,
+        0xFFFF_FF80,
+        30_000,
+        0x1234_0000,
+        0x0042_0017,
+        0xABAB_ABAB,
+        0x1234_5678,
+        0,
+        5,
+        0,
+        0,
+        0,
+        0x8000_0000,
     ];
     let mut block = [0u8; BLOCK_SIZE];
     for (chunk, w) in block.chunks_exact_mut(4).zip(words) {
@@ -331,7 +345,10 @@ fn pinned_corpus_cases_agree() {
     // The pinned hazard: the explicit-base delta here only "fits" if the
     // kernel wraps the subtraction in 32 bits. The reference (and thus the
     // lane kernel) must reject every base-delta encoding.
-    assert_eq!(Bdi::best_encoding(&corpus_block("bdi-lane-sign-extend")), None);
+    assert_eq!(
+        Bdi::best_encoding(&corpus_block("bdi-lane-sign-extend")),
+        None
+    );
     assert_agree(&corpus_block("fpc-two-halves-bias"), "corpus fpc");
 }
 
@@ -362,7 +379,10 @@ fn biased_blocks_agree() {
 #[test]
 fn incompressible_blocks_agree() {
     for seed in 0..CASES {
-        assert_agree(&incompressible_block(seed), &format!("incompressible {seed}"));
+        assert_agree(
+            &incompressible_block(seed),
+            &format!("incompressible {seed}"),
+        );
     }
 }
 

@@ -17,8 +17,8 @@
 //! travels with data, and extra accesses happen only on collisions —
 //! 0.003%-0.006% of uncompressed traffic.
 
-use attache_compress::{Block, Compressed, CompressionEngine, CompressionOutcome, BLOCK_SIZE};
 use crate::memo::MemoizedEngine;
+use attache_compress::{Block, Compressed, CompressionEngine, CompressionOutcome, BLOCK_SIZE};
 
 use crate::header::{CidConfig, CidValue, HeaderMatch};
 use crate::replacement_area::{ReplacementArea, ReplacementAreaStats};
@@ -323,7 +323,8 @@ impl Blem {
         debug_assert!(len <= 30);
         let mut payload = [0u8; 30];
         payload[..len].copy_from_slice(c.payload());
-        self.scrambler.scramble_slice(line_addr, &mut payload[..len]);
+        self.scrambler
+            .scramble_slice(line_addr, &mut payload[..len]);
         let header = self.cid.encode_header(c.algorithm());
         let mut image = [0u8; 32];
         image[..2].copy_from_slice(&header.to_be_bytes());
@@ -498,7 +499,8 @@ mod tests {
             assert!(!w.compressed);
             assert!(w.collision, "top bits match CID => collision");
             // The stored image must carry XID=1 no matter the original bit.
-            let stored_header = u16::from_be_bytes([w.image.first_half()[0], w.image.first_half()[1]]);
+            let stored_header =
+                u16::from_be_bytes([w.image.first_half()[0], w.image.first_half()[1]]);
             assert_eq!(stored_header & 1, 1);
             let (out, info) = blem.read_line(line, &w.image);
             assert_eq!(out, data, "displaced bit {xid_bit} must be restored");

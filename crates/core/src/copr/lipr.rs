@@ -88,7 +88,13 @@ impl Lipr {
     /// `page_uniform` is PaPR's confidence signal: when set, the bits of
     /// neighbouring lines are proactively updated to the observed value;
     /// otherwise only the accessed line's bit changes.
-    pub fn train(&mut self, page: u64, line_in_page: usize, compressible: bool, page_uniform: bool) {
+    pub fn train(
+        &mut self,
+        page: u64,
+        line_in_page: usize,
+        compressible: bool,
+        page_uniform: bool,
+    ) {
         assert!(line_in_page < LINES_PER_ENTRY);
         self.stamp += 1;
         let idx = match self.find(page) {

@@ -126,8 +126,12 @@ pub enum CoprSource {
 
 impl CoprSource {
     /// Every source, in priority order.
-    pub const ALL: [CoprSource; 4] =
-        [CoprSource::Papr, CoprSource::Lipr, CoprSource::Gi, CoprSource::Default];
+    pub const ALL: [CoprSource; 4] = [
+        CoprSource::Papr,
+        CoprSource::Lipr,
+        CoprSource::Gi,
+        CoprSource::Default,
+    ];
 
     /// A stable lowercase key for metric names.
     pub fn key(self) -> &'static str {

@@ -240,7 +240,8 @@ impl Cram {
         debug_assert!(len <= 30);
         let mut payload = [0u8; 30];
         payload[..len].copy_from_slice(c.payload());
-        self.scrambler.scramble_slice(line_addr, &mut payload[..len]);
+        self.scrambler
+            .scramble_slice(line_addr, &mut payload[..len]);
         let marker = self.codec.encode(c.algorithm());
         let mut image = [0u8; 32];
         image[..2].copy_from_slice(&marker.to_be_bytes());
@@ -419,7 +420,10 @@ mod tests {
     fn adversarial_block(cram: &Cram, word: u16, salt: u64) -> Block {
         let mut b = incompressible_block(0xBEEF ^ salt);
         b[..2].copy_from_slice(&word.to_be_bytes());
-        assert!(!cram.fits_subrank(&b), "adversarial block must stay incompressible");
+        assert!(
+            !cram.fits_subrank(&b),
+            "adversarial block must stay incompressible"
+        );
         b
     }
 
@@ -500,7 +504,10 @@ mod tests {
         let clean = incompressible_block(77);
         let w2 = cram.write_line(line, &clean);
         assert!(!w2.exception);
-        assert!(!cram.has_exception(line), "stale parked bytes must be dropped");
+        assert!(
+            !cram.has_exception(line),
+            "stale parked bytes must be dropped"
+        );
         let compressible = compressible_block(5);
         cram.write_line(line, &colliding);
         let w3 = cram.write_line(line, &compressible);
@@ -558,7 +565,10 @@ mod tests {
         let data = incompressible_block(21);
         let line = 5u64;
         let w = cram.write_line(line, &data);
-        assert!(!w.exception, "natural content must not collide for this seed");
+        assert!(
+            !w.exception,
+            "natural content must not collide for this seed"
+        );
         let StoredImage::Uncompressed(mut bytes) = w.image else {
             panic!("incompressible block stored verbatim");
         };
@@ -585,7 +595,10 @@ mod tests {
         assert!(!wp.compressed && !wp.exception);
         cram.swap_scrambler_key(0xDEAD_BEEF);
         let (out_c, _) = cram.read_line(0, &wc.image);
-        assert_ne!(out_c, comp, "compressed payload was scrambled under the old key");
+        assert_ne!(
+            out_c, comp,
+            "compressed payload was scrambled under the old key"
+        );
         let (out_p, _) = cram.read_line(1, &wp.image);
         assert_eq!(out_p, plain, "verbatim lines carry no scrambling");
     }

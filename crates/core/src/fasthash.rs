@@ -105,7 +105,11 @@ mod tests {
             h.write_u64(k);
             low_bits.insert(h.finish() & 0xff);
         }
-        assert!(low_bits.len() > 200, "only {} distinct low bytes", low_bits.len());
+        assert!(
+            low_bits.len() > 200,
+            "only {} distinct low bytes",
+            low_bits.len()
+        );
     }
 
     #[test]
@@ -117,7 +121,10 @@ mod tests {
         assert_eq!(a.finish(), b.finish());
         // Pinned value: a silent algorithm change would shift every map's
         // bucket layout; make that visible.
-        assert_eq!(a.finish(), (0u64.rotate_left(5) ^ 0xdead_beef).wrapping_mul(SEED));
+        assert_eq!(
+            a.finish(),
+            (0u64.rotate_left(5) ^ 0xdead_beef).wrapping_mul(SEED)
+        );
     }
 
     #[test]

@@ -50,9 +50,9 @@ pub mod replacement_area;
 pub mod scramble;
 
 pub use blem::{Blem, BlemStats, ReadInfo, StoredImage, WriteOutcome};
-pub use cram::{Cram, CramReadInfo, CramStats, CramWriteOutcome};
 pub use copr::{Copr, CoprConfig, CoprSource, CoprStats};
-pub use memo::{MemoStats, MemoizedEngine};
+pub use cram::{Cram, CramReadInfo, CramStats, CramWriteOutcome};
 pub use header::{CidConfig, CidValue, HeaderMatch};
+pub use memo::{MemoStats, MemoizedEngine};
 pub use replacement_area::{ReplacementArea, ReplacementAreaStats};
 pub use scramble::Scrambler;

@@ -216,7 +216,9 @@ mod tests {
     fn block_of(tag: u64) -> Block {
         let mut b = [0u8; 64];
         for (i, chunk) in b.chunks_exact_mut(8).enumerate() {
-            chunk.copy_from_slice(&(tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64).to_le_bytes());
+            chunk.copy_from_slice(
+                &(tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64).to_le_bytes(),
+            );
         }
         b
     }
@@ -228,7 +230,11 @@ mod tests {
         for round in 0..3 {
             for tag in 0..100u64 {
                 let b = block_of(tag);
-                assert_eq!(memo.compress(&b), plain.compress(&b), "round {round} tag {tag}");
+                assert_eq!(
+                    memo.compress(&b),
+                    plain.compress(&b),
+                    "round {round} tag {tag}"
+                );
             }
         }
         let s = memo.stats();

@@ -48,7 +48,9 @@ impl Scrambler {
     pub fn pad(&self, line_addr: u64) -> Block {
         let mut pad = [0u8; BLOCK_SIZE];
         for (i, chunk) in pad.chunks_exact_mut(8).enumerate() {
-            let word = splitmix64(self.seed ^ line_addr.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ (i as u64) << 56);
+            let word = splitmix64(
+                self.seed ^ line_addr.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ (i as u64) << 56,
+            );
             chunk.copy_from_slice(&word.to_le_bytes());
         }
         pad
@@ -127,8 +129,7 @@ mod tests {
     #[test]
     fn slice_scrambling_matches_block_prefix() {
         let s = Scrambler::new(5);
-        let data = [0xAB
-        ; 64];
+        let data = [0xAB; 64];
         let full = s.scramble(3, &data);
         let mut prefix = [0xAB; 30];
         s.scramble_slice(3, &mut prefix);

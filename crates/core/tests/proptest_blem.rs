@@ -60,7 +60,10 @@ fn compressed_images_always_fit_one_subrank() {
         let w = blem.write_line(addr, &block);
         if w.compressed {
             assert_eq!(w.image.stored_bytes(), 32, "case {case}");
-            assert!(!w.collision, "compressed lines cannot collide (case {case})");
+            assert!(
+                !w.collision,
+                "compressed lines cannot collide (case {case})"
+            );
         } else {
             assert_eq!(w.image.stored_bytes(), 64, "case {case}");
         }
@@ -78,7 +81,10 @@ fn header_classification_is_exhaustive() {
         let m = cid.parse_header(header);
         // Exactly one of: compressed, collision, plain-uncompressed.
         let states = m.is_compressed() as u8 + m.is_collision() as u8 + (!m.cid_matches) as u8;
-        assert_eq!(states, 1, "case {case} header {header:#06x} cid_bits {cid_bits}");
+        assert_eq!(
+            states, 1,
+            "case {case} header {header:#06x} cid_bits {cid_bits}"
+        );
     }
 }
 
@@ -90,7 +96,11 @@ fn scrambler_is_involution() {
         let addr = g.next_u64();
         let block = g.block();
         let s = Scrambler::new(seed);
-        assert_eq!(s.descramble(addr, &s.scramble(addr, &block)), block, "case {case}");
+        assert_eq!(
+            s.descramble(addr, &s.scramble(addr, &block)),
+            block,
+            "case {case}"
+        );
     }
 }
 

@@ -60,7 +60,10 @@ fn cid_collision_with_xid1_roundtrips_through_the_replacement_area() {
         let (out, info) = blem.read_line(line, &w.image);
         assert!(info.collision, "{key}: the read must detect the collision");
         assert!(!info.compressed, "{key}");
-        assert_eq!(out, data, "{key}: displaced bit {displaced_bit} must be restored");
+        assert_eq!(
+            out, data,
+            "{key}: displaced bit {displaced_bit} must be restored"
+        );
         assert_eq!(
             blem.stats().read_collisions,
             before.read_collisions + 1,

@@ -439,8 +439,7 @@ mod tests {
             origin: Origin::Demand { core: 0 },
             arrival: 0,
         };
-        let mut concrete =
-            crate::MemorySystem::new(DramConfig::table2(), PowerParams::ddr4_1600());
+        let mut concrete = crate::MemorySystem::new(DramConfig::table2(), PowerParams::ddr4_1600());
         let mut boxed = new_backend(
             BackendKind::Cycle,
             DramConfig::table2(),
@@ -485,10 +484,7 @@ mod tests {
         );
         let _ = Timing::table2();
         for addr in [0u64, 1, 2, 3, 1000, 1001] {
-            assert_eq!(
-                mem.channel_of(addr),
-                mem.mapping().decompose(addr).channel
-            );
+            assert_eq!(mem.channel_of(addr), mem.mapping().decompose(addr).channel);
         }
     }
 }

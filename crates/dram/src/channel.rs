@@ -14,7 +14,6 @@ use crate::rank::Rank;
 use crate::request::{AccessKind, Completion, MemRequest};
 use crate::sched_index::{CandIndex, Pass, MAX_QUEUE};
 
-
 /// Aggregated per-channel statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ChannelStats {
@@ -246,7 +245,14 @@ impl Channel {
         }
         let ranks: Vec<Rank> = (0..cfg.ranks).map(|_| Rank::new(&cfg)).collect();
         let index_of = |capacity, writes| {
-            CandIndex::new(&ranks, cfg.banks(), cfg.subranks, capacity, &cfg.timing, writes)
+            CandIndex::new(
+                &ranks,
+                cfg.banks(),
+                cfg.subranks,
+                capacity,
+                &cfg.timing,
+                writes,
+            )
         };
         // Reads are served while both queues are empty.
         let read_ix = index_of(cfg.read_queue_capacity, false);
@@ -485,7 +491,8 @@ impl Channel {
                     // is recomputed. The queue's lines and lengths stand,
                     // and with them the acceptance generation.
                     self.write_q[i].req = req;
-                    self.write_ix.replace(rank, i, req.width.mask(), req.arrival);
+                    self.write_ix
+                        .replace(rank, i, req.width.mask(), req.arrival);
                     self.last_enqueued = i;
                     return Ok(());
                 }
@@ -699,8 +706,7 @@ impl Channel {
                 if let Some(a) = self.auditor.as_mut() {
                     // Mirror bulk_refresh's force_idle horizon: the last
                     // refresh of the batch completes tRFC after it starts.
-                    let busy =
-                        self.ranks[r].next_refresh_due.saturating_sub(t.t_refi) + t.t_rfc;
+                    let busy = self.ranks[r].next_refresh_due.saturating_sub(t.t_refi) + t.t_rfc;
                     a.fast_forward_refresh(r, n, busy);
                 }
             }
@@ -778,7 +784,11 @@ impl Channel {
         if q.is_empty() {
             return horizon;
         }
-        let ix = if writes { &self.write_ix } else { &self.read_ix };
+        let ix = if writes {
+            &self.write_ix
+        } else {
+            &self.read_ix
+        };
         debug_assert!(!ix.is_deferred(), "next_sched_event read a deferred index");
         // Anti-starvation mirror of `issue_from`: once the oldest read
         // crosses STARVATION_AGE it is served exclusively, so the crossing
@@ -837,10 +847,17 @@ impl Channel {
         if q.get(i).is_none_or(|p| p.req.id != req.id) {
             return old;
         }
-        let starving = req.kind == AccessKind::Read
-            && now.saturating_sub(req.arrival) > STARVATION_AGE;
-        let ix = if writes { &self.write_ix } else { &self.read_ix };
-        debug_assert!(!ix.is_deferred(), "bound_with_enqueued read a deferred index");
+        let starving =
+            req.kind == AccessKind::Read && now.saturating_sub(req.arrival) > STARVATION_AGE;
+        let ix = if writes {
+            &self.write_ix
+        } else {
+            &self.read_ix
+        };
+        debug_assert!(
+            !ix.is_deferred(),
+            "bound_with_enqueued read a deferred index"
+        );
         let ready = ix.ready_at(i, starving);
         let mut bound = old.min(ready.max(soon));
         if req.kind == AccessKind::Read {
@@ -984,10 +1001,18 @@ impl Channel {
         // Anti-starvation: when the oldest *read* is too old, serve it
         // exclusively. Writes are posted — nobody waits on them — so they
         // are always drained row-hit-first.
-        let starving: Option<usize> = if writes { None } else { self.starving_read(now) };
+        let starving: Option<usize> = if writes {
+            None
+        } else {
+            self.starving_read(now)
+        };
 
         let ranks = &self.ranks;
-        let ix = if writes { &self.write_ix } else { &self.read_ix };
+        let ix = if writes {
+            &self.write_ix
+        } else {
+            &self.read_ix
+        };
         debug_assert!(!ix.is_deferred(), "issue_from read a deferred index");
         let due = |r: usize| ranks[r].refresh_due(now);
         let pick = match starving {
@@ -1075,7 +1100,11 @@ impl Channel {
             }
             Pass::Act => {
                 let mask = {
-                    let q = if writes { &mut self.write_q } else { &mut self.read_q };
+                    let q = if writes {
+                        &mut self.write_q
+                    } else {
+                        &mut self.read_q
+                    };
                     q[i].needed_act = true;
                     q[i].req.width.mask()
                 };
@@ -1095,11 +1124,22 @@ impl Channel {
                 // open-row thrash when half- and full-width streams share
                 // a bank): `pre_mask` is the candidate's unprotected
                 // conflict set, or its whole conflict set when starving.
-                let q = if writes { &mut self.write_q } else { &mut self.read_q };
+                let q = if writes {
+                    &mut self.write_q
+                } else {
+                    &mut self.read_q
+                };
                 q[i].needed_act = true;
                 self.ranks[rank_idx].precharge(now, bank, pre_mask, &t);
                 self.after_command(Pass::Pre, rank_idx, bank);
-                self.audit(now, rank_idx, DramCommand::Precharge { bank, mask: pre_mask });
+                self.audit(
+                    now,
+                    rank_idx,
+                    DramCommand::Precharge {
+                        bank,
+                        mask: pre_mask,
+                    },
+                );
                 self.stats.precharges += 1;
             }
         }
@@ -1131,11 +1171,25 @@ mod tests {
             (&ch.read_q, ch.cfg.read_queue_capacity)
         };
         let cfg = ch.cfg;
-        let mut ix = CandIndex::new(&ch.ranks, cfg.banks(), cfg.subranks, cap, &cfg.timing, writes);
+        let mut ix = CandIndex::new(
+            &ch.ranks,
+            cfg.banks(),
+            cfg.subranks,
+            cap,
+            &cfg.timing,
+            writes,
+        );
         for p in q {
             let loc = ch.mapping.decompose(p.req.line_addr);
             let (r, b) = (loc.rank, loc.flat_bank(&cfg));
-            ix.push(&ch.ranks[r], r, b, loc.row, p.req.width.mask(), p.req.arrival);
+            ix.push(
+                &ch.ranks[r],
+                r,
+                b,
+                loc.row,
+                p.req.width.mask(),
+                p.req.arrival,
+            );
         }
         ix
     }
@@ -1151,7 +1205,10 @@ mod tests {
         } else {
             (&ch.read_ix, &ch.write_ix)
         };
-        assert!(!served.is_deferred() && deferred.is_deferred(), "served queue {what}");
+        assert!(
+            !served.is_deferred() && deferred.is_deferred(),
+            "served queue {what}"
+        );
         assert_eq!(*served, rebuilt(ch, writes), "served index {what}");
         let mut caught_up = deferred.clone();
         caught_up.serve(&ch.ranks, &ch.cfg.timing);

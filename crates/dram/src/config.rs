@@ -57,7 +57,7 @@ impl Timing {
             t_ccd: 4,
             t_rrd: 8,
             t_faw: 40,
-            t_rfc: 560,  // 350 ns * 1.6 GHz
+            t_rfc: 560,     // 350 ns * 1.6 GHz
             t_refi: 12_480, // 7.8 µs * 1.6 GHz
             t_burst: 4,
         }
@@ -312,7 +312,16 @@ mod tests {
     #[test]
     fn mapping_roundtrips() {
         let m = AddressMapping::new(DramConfig::table2());
-        for addr in [0u64, 1, 2, 127, 128, 12345, 222_222_222, (16 << 30) / 64 - 1] {
+        for addr in [
+            0u64,
+            1,
+            2,
+            127,
+            128,
+            12345,
+            222_222_222,
+            (16 << 30) / 64 - 1,
+        ] {
             let loc = m.decompose(addr);
             assert_eq!(m.compose(loc), addr, "addr {addr}");
         }
@@ -371,7 +380,14 @@ mod tests {
         one.channels = 1;
         let mut six = DramConfig::table2();
         six.channels = 6;
-        let geometries = [DramConfig::table2(), DramConfig::scale8(), one, three, odd_rows, six];
+        let geometries = [
+            DramConfig::table2(),
+            DramConfig::scale8(),
+            one,
+            three,
+            odd_rows,
+            six,
+        ];
         let mut g = attache_testkit::Gen::new(0xC4A7_0001);
         for (i, cfg) in geometries.into_iter().enumerate() {
             let m = AddressMapping::new(cfg);

@@ -101,7 +101,11 @@ pub struct TimingViolation {
 
 impl fmt::Display for TimingViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} violated at cycle {}: {}", self.rule, self.now, self.detail)
+        write!(
+            f,
+            "{} violated at cycle {}: {}",
+            self.rule, self.now, self.detail
+        )
     }
 }
 
@@ -386,9 +390,17 @@ impl ConformanceChecker {
                     // Per-sub-rank data bus: same-kind CAS spacing (tCCD)
                     // and bus turnaround between kinds.
                     let (same, turn, turn_rule) = if is_write {
-                        (shadow.last_wr[s], gate(shadow.last_rd[s], t.read_to_write()), "tRTW")
+                        (
+                            shadow.last_wr[s],
+                            gate(shadow.last_rd[s], t.read_to_write()),
+                            "tRTW",
+                        )
                     } else {
-                        (shadow.last_rd[s], gate(shadow.last_wr[s], t.write_to_read()), "tWTR")
+                        (
+                            shadow.last_rd[s],
+                            gate(shadow.last_wr[s], t.write_to_read()),
+                            "tWTR",
+                        )
                     };
                     let ccd = gate(same, t.t_ccd);
                     if now < ccd {
@@ -513,9 +525,20 @@ mod tests {
     #[test]
     fn legal_act_read_precharge_sequence_passes() {
         let mut c = checker();
-        let act = DramCommand::Activate { bank: 0, row: 3, mask: 0b11 };
-        let rd = DramCommand::Read { bank: 0, row: 3, mask: 0b11 };
-        let pre = DramCommand::Precharge { bank: 0, mask: 0b11 };
+        let act = DramCommand::Activate {
+            bank: 0,
+            row: 3,
+            mask: 0b11,
+        };
+        let rd = DramCommand::Read {
+            bank: 0,
+            row: 3,
+            mask: 0b11,
+        };
+        let pre = DramCommand::Precharge {
+            bank: 0,
+            mask: 0b11,
+        };
         c.observe(0, 0, &act).unwrap();
         c.observe(t().t_rcd, 0, &rd).unwrap();
         c.observe(t().t_ras, 0, &pre).unwrap();
@@ -525,9 +548,26 @@ mod tests {
     #[test]
     fn read_before_trcd_is_caught() {
         let mut c = checker();
-        c.observe(0, 0, &DramCommand::Activate { bank: 0, row: 3, mask: 0b01 }).unwrap();
+        c.observe(
+            0,
+            0,
+            &DramCommand::Activate {
+                bank: 0,
+                row: 3,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
         let v = c
-            .observe(t().t_rcd - 1, 0, &DramCommand::Read { bank: 0, row: 3, mask: 0b01 })
+            .observe(
+                t().t_rcd - 1,
+                0,
+                &DramCommand::Read {
+                    bank: 0,
+                    row: 3,
+                    mask: 0b01,
+                },
+            )
             .unwrap_err();
         assert_eq!(v.rule, "tRCD");
     }
@@ -535,14 +575,39 @@ mod tests {
     #[test]
     fn act_act_within_trrd_is_caught() {
         let mut c = checker();
-        c.observe(0, 0, &DramCommand::Activate { bank: 0, row: 1, mask: 0b01 }).unwrap();
+        c.observe(
+            0,
+            0,
+            &DramCommand::Activate {
+                bank: 0,
+                row: 1,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
         let v = c
-            .observe(t().t_rrd - 1, 0, &DramCommand::Activate { bank: 1, row: 1, mask: 0b01 })
+            .observe(
+                t().t_rrd - 1,
+                0,
+                &DramCommand::Activate {
+                    bank: 1,
+                    row: 1,
+                    mask: 0b01,
+                },
+            )
             .unwrap_err();
         assert_eq!(v.rule, "tRRD");
         // The other sub-rank is a disjoint chip group: no shared tRRD.
-        c.observe(t().t_rrd - 1, 0, &DramCommand::Activate { bank: 1, row: 1, mask: 0b10 })
-            .unwrap();
+        c.observe(
+            t().t_rrd - 1,
+            0,
+            &DramCommand::Activate {
+                bank: 1,
+                row: 1,
+                mask: 0b10,
+            },
+        )
+        .unwrap();
     }
 
     #[test]
@@ -550,24 +615,65 @@ mod tests {
         let mut c = checker();
         let mut now = 0;
         for bank in 0..4 {
-            c.observe(now, 0, &DramCommand::Activate { bank, row: 1, mask: 0b01 }).unwrap();
+            c.observe(
+                now,
+                0,
+                &DramCommand::Activate {
+                    bank,
+                    row: 1,
+                    mask: 0b01,
+                },
+            )
+            .unwrap();
             now += t().t_rrd;
         }
         assert!(now < t().t_faw);
         let v = c
-            .observe(now, 0, &DramCommand::Activate { bank: 4, row: 1, mask: 0b01 })
+            .observe(
+                now,
+                0,
+                &DramCommand::Activate {
+                    bank: 4,
+                    row: 1,
+                    mask: 0b01,
+                },
+            )
             .unwrap_err();
         assert_eq!(v.rule, "tFAW");
-        c.observe(t().t_faw, 0, &DramCommand::Activate { bank: 4, row: 1, mask: 0b01 })
-            .unwrap();
+        c.observe(
+            t().t_faw,
+            0,
+            &DramCommand::Activate {
+                bank: 4,
+                row: 1,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
     }
 
     #[test]
     fn precharge_before_tras_is_caught() {
         let mut c = checker();
-        c.observe(0, 0, &DramCommand::Activate { bank: 2, row: 9, mask: 0b11 }).unwrap();
+        c.observe(
+            0,
+            0,
+            &DramCommand::Activate {
+                bank: 2,
+                row: 9,
+                mask: 0b11,
+            },
+        )
+        .unwrap();
         let v = c
-            .observe(t().t_ras - 1, 0, &DramCommand::Precharge { bank: 2, mask: 0b11 })
+            .observe(
+                t().t_ras - 1,
+                0,
+                &DramCommand::Precharge {
+                    bank: 2,
+                    mask: 0b11,
+                },
+            )
             .unwrap_err();
         assert_eq!(v.rule, "tRAS");
     }
@@ -577,17 +683,42 @@ mod tests {
         let mut c = checker();
         c.observe(100, 0, &DramCommand::Refresh).unwrap();
         let v = c
-            .observe(100 + t().t_rfc - 1, 0, &DramCommand::Activate { bank: 0, row: 0, mask: 0b01 })
+            .observe(
+                100 + t().t_rfc - 1,
+                0,
+                &DramCommand::Activate {
+                    bank: 0,
+                    row: 0,
+                    mask: 0b01,
+                },
+            )
             .unwrap_err();
         assert_eq!(v.rule, "tRFC");
-        c.observe(100 + t().t_rfc, 0, &DramCommand::Activate { bank: 0, row: 0, mask: 0b01 })
-            .unwrap();
+        c.observe(
+            100 + t().t_rfc,
+            0,
+            &DramCommand::Activate {
+                bank: 0,
+                row: 0,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
     }
 
     #[test]
     fn refresh_with_open_bank_is_caught() {
         let mut c = checker();
-        c.observe(0, 0, &DramCommand::Activate { bank: 1, row: 7, mask: 0b01 }).unwrap();
+        c.observe(
+            0,
+            0,
+            &DramCommand::Activate {
+                bank: 1,
+                row: 7,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
         let v = c.observe(t().t_ras, 0, &DramCommand::Refresh).unwrap_err();
         assert_eq!(v.rule, "REF-OPEN-BANK");
     }
@@ -595,9 +726,26 @@ mod tests {
     #[test]
     fn same_cycle_commands_are_caught() {
         let mut c = checker();
-        c.observe(5, 0, &DramCommand::Activate { bank: 0, row: 1, mask: 0b01 }).unwrap();
+        c.observe(
+            5,
+            0,
+            &DramCommand::Activate {
+                bank: 0,
+                row: 1,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
         let v = c
-            .observe(5, 0, &DramCommand::Activate { bank: 1, row: 1, mask: 0b10 })
+            .observe(
+                5,
+                0,
+                &DramCommand::Activate {
+                    bank: 1,
+                    row: 1,
+                    mask: 0b10,
+                },
+            )
             .unwrap_err();
         assert_eq!(v.rule, "CMD-BUS");
     }
@@ -605,9 +753,26 @@ mod tests {
     #[test]
     fn cas_to_closed_row_is_caught() {
         let mut c = checker();
-        c.observe(0, 0, &DramCommand::Activate { bank: 0, row: 1, mask: 0b01 }).unwrap();
+        c.observe(
+            0,
+            0,
+            &DramCommand::Activate {
+                bank: 0,
+                row: 1,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
         let v = c
-            .observe(t().t_rcd, 0, &DramCommand::Read { bank: 0, row: 2, mask: 0b01 })
+            .observe(
+                t().t_rcd,
+                0,
+                &DramCommand::Read {
+                    bank: 0,
+                    row: 2,
+                    mask: 0b01,
+                },
+            )
             .unwrap_err();
         assert_eq!(v.rule, "CAS-ROW");
     }
@@ -615,31 +780,88 @@ mod tests {
     #[test]
     fn write_read_turnaround_is_enforced_per_subrank_bus() {
         let mut c = checker();
-        c.observe(0, 0, &DramCommand::Activate { bank: 0, row: 1, mask: 0b11 }).unwrap();
+        c.observe(
+            0,
+            0,
+            &DramCommand::Activate {
+                bank: 0,
+                row: 1,
+                mask: 0b11,
+            },
+        )
+        .unwrap();
         let wr_at = t().t_rcd;
-        c.observe(wr_at, 0, &DramCommand::Write { bank: 0, row: 1, mask: 0b01 }).unwrap();
+        c.observe(
+            wr_at,
+            0,
+            &DramCommand::Write {
+                bank: 0,
+                row: 1,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
         let v = c
             .observe(
                 wr_at + t().write_to_read() - 1,
                 0,
-                &DramCommand::Read { bank: 0, row: 1, mask: 0b01 },
+                &DramCommand::Read {
+                    bank: 0,
+                    row: 1,
+                    mask: 0b01,
+                },
             )
             .unwrap_err();
         assert_eq!(v.rule, "tWTR");
         // The other sub-rank's bus is independent.
-        c.observe(wr_at + 1, 0, &DramCommand::Read { bank: 0, row: 1, mask: 0b10 }).unwrap();
+        c.observe(
+            wr_at + 1,
+            0,
+            &DramCommand::Read {
+                bank: 0,
+                row: 1,
+                mask: 0b10,
+            },
+        )
+        .unwrap();
     }
 
     #[test]
     fn violating_command_is_not_absorbed() {
         let mut c = checker();
-        c.observe(0, 0, &DramCommand::Activate { bank: 0, row: 1, mask: 0b01 }).unwrap();
+        c.observe(
+            0,
+            0,
+            &DramCommand::Activate {
+                bank: 0,
+                row: 1,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
         let _ = c
-            .observe(t().t_rcd - 1, 0, &DramCommand::Read { bank: 0, row: 1, mask: 0b01 })
+            .observe(
+                t().t_rcd - 1,
+                0,
+                &DramCommand::Read {
+                    bank: 0,
+                    row: 1,
+                    mask: 0b01,
+                },
+            )
             .unwrap_err();
         // The rejected read must not have advanced the bus shadow: a
         // legal read right at tRCD still passes.
-        c.observe(t().t_rcd, 0, &DramCommand::Read { bank: 0, row: 1, mask: 0b01 }).unwrap();
+        c.observe(
+            t().t_rcd,
+            0,
+            &DramCommand::Read {
+                bank: 0,
+                row: 1,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
     }
 
     #[test]
@@ -649,9 +871,26 @@ mod tests {
         let mut strict = t();
         strict.t_rcd += 8;
         let mut c = ConformanceChecker::with_timing(&DramConfig::table2(), strict);
-        c.observe(0, 0, &DramCommand::Activate { bank: 0, row: 1, mask: 0b01 }).unwrap();
+        c.observe(
+            0,
+            0,
+            &DramCommand::Activate {
+                bank: 0,
+                row: 1,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
         let v = c
-            .observe(t().t_rcd, 0, &DramCommand::Read { bank: 0, row: 1, mask: 0b01 })
+            .observe(
+                t().t_rcd,
+                0,
+                &DramCommand::Read {
+                    bank: 0,
+                    row: 1,
+                    mask: 0b01,
+                },
+            )
             .unwrap_err();
         assert_eq!(v.rule, "tRCD");
     }
@@ -659,16 +898,49 @@ mod tests {
     #[test]
     fn fast_forward_models_bulk_refresh() {
         let mut c = checker();
-        c.observe(0, 0, &DramCommand::Activate { bank: 0, row: 1, mask: 0b01 }).unwrap();
-        c.observe(t().t_ras, 0, &DramCommand::Precharge { bank: 0, mask: 0b01 }).unwrap();
+        c.observe(
+            0,
+            0,
+            &DramCommand::Activate {
+                bank: 0,
+                row: 1,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
+        c.observe(
+            t().t_ras,
+            0,
+            &DramCommand::Precharge {
+                bank: 0,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
         let busy_until = 1_000_000;
         c.fast_forward_refresh(0, 3, busy_until);
         assert_eq!(c.stats().refreshes, 3);
         let v = c
-            .observe(busy_until - 1, 0, &DramCommand::Activate { bank: 0, row: 1, mask: 0b01 })
+            .observe(
+                busy_until - 1,
+                0,
+                &DramCommand::Activate {
+                    bank: 0,
+                    row: 1,
+                    mask: 0b01,
+                },
+            )
             .unwrap_err();
         assert_eq!(v.rule, "tRFC");
-        c.observe(busy_until, 0, &DramCommand::Activate { bank: 0, row: 1, mask: 0b01 })
-            .unwrap();
+        c.observe(
+            busy_until,
+            0,
+            &DramCommand::Activate {
+                bank: 0,
+                row: 1,
+                mask: 0b01,
+            },
+        )
+        .unwrap();
     }
 }

@@ -513,7 +513,10 @@ mod tests {
         for i in 0..cap as u64 {
             m.enqueue(read(i, i * 2, AccessWidth::Full, 0)).unwrap();
         }
-        assert_eq!(m.enqueue(read(999, 0, AccessWidth::Full, 0)), Err(QueueFull));
+        assert_eq!(
+            m.enqueue(read(999, 0, AccessWidth::Full, 0)),
+            Err(QueueFull)
+        );
         assert!(!m.can_accept(0, AccessKind::Read));
         assert!(m.can_accept(0, AccessKind::Write));
         // Draining completions frees slots again.
@@ -523,7 +526,10 @@ mod tests {
             m.tick();
         }
         assert!(m.can_accept(0, AccessKind::Read));
-        assert!(m.aggregate_accept_gen() > gen, "a drain must bump the generation");
+        assert!(
+            m.aggregate_accept_gen() > gen,
+            "a drain must bump the generation"
+        );
     }
 
     #[test]
@@ -552,7 +558,11 @@ mod tests {
         m.fault_derate_reads(1, 10);
         let gen_set = m.aggregate_accept_gen();
         m.enqueue(read(1, 0, AccessWidth::Full, 0)).unwrap();
-        assert_eq!(m.aggregate_accept_gen(), gen_set, "an enqueue only tightens acceptance");
+        assert_eq!(
+            m.aggregate_accept_gen(),
+            gen_set,
+            "an enqueue only tightens acceptance"
+        );
         assert_eq!(m.enqueue(read(2, 2, AccessWidth::Full, 0)), Err(QueueFull));
         // The expiry is an event: the bound may not skip past cycle 10.
         assert!(m.next_event() <= 10);

@@ -46,14 +46,14 @@ pub mod soft_error;
 
 pub use backend::{new_backend, BackendKind, MemoryBackend, UnknownBackend};
 pub use channel::{Channel, ChannelStats, QueueFull};
-pub use ecc::{decode_line, encode_line, LineDecode, WordDecode};
-pub use soft_error::SoftErrorProcess;
-pub use fast::FastMemory;
-pub use referee::{referee_replay, RefereeConfig, RefereeReport, ReplaySummary, Tolerance};
 pub use config::{AddressMapping, DramConfig, Location, Timing};
 pub use conformance::{ConformanceChecker, ConformanceStats, DramCommand, TimingViolation};
+pub use ecc::{decode_line, encode_line, LineDecode, WordDecode};
+pub use fast::FastMemory;
 pub use power::{EnergyBreakdown, PowerModel, PowerParams};
+pub use referee::{referee_replay, RefereeConfig, RefereeReport, ReplaySummary, Tolerance};
 pub use request::{AccessKind, AccessWidth, Completion, MemRequest, Origin, SubrankId};
+pub use soft_error::SoftErrorProcess;
 
 /// A multi-channel main-memory system (Table II: two channels).
 #[derive(Debug)]
@@ -168,12 +168,18 @@ impl MemorySystem {
     /// Per-channel, per-sub-rank data-bus busy cycles since the last
     /// stats reset.
     pub fn subrank_busy(&self) -> Vec<Vec<u64>> {
-        self.channels.iter().map(|ch| ch.subrank_busy().to_vec()).collect()
+        self.channels
+            .iter()
+            .map(|ch| ch.subrank_busy().to_vec())
+            .collect()
     }
 
     /// Per-channel, per-sub-rank CAS counts since the last stats reset.
     pub fn subrank_cas(&self) -> Vec<Vec<u64>> {
-        self.channels.iter().map(|ch| ch.subrank_cas().to_vec()).collect()
+        self.channels
+            .iter()
+            .map(|ch| ch.subrank_cas().to_vec())
+            .collect()
     }
 
     /// The address mapping in use.
@@ -667,8 +673,13 @@ mod tests {
         // Row A half-width stream (8 queued).
         #[allow(clippy::explicit_counter_loop)]
         for col in 0..8 {
-            mem.enqueue(read(id, line_of(10, col), AccessWidth::Half(SubrankId(0)), 0))
-                .unwrap();
+            mem.enqueue(read(
+                id,
+                line_of(10, col),
+                AccessWidth::Half(SubrankId(0)),
+                0,
+            ))
+            .unwrap();
             id += 1;
         }
         // The conflicting full-width read of row B.

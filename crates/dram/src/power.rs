@@ -178,8 +178,7 @@ impl PowerModel {
     /// Records one all-bank refresh of a full rank.
     pub fn on_refresh(&mut self) {
         let p = &self.params;
-        self.energy.refresh_pj +=
-            (p.idd5 - p.idd2n) * p.vdd * p.t_rfc_ns * p.chips_per_rank as f64;
+        self.energy.refresh_pj += (p.idd5 - p.idd2n) * p.vdd * p.t_rfc_ns * p.chips_per_rank as f64;
     }
 
     /// Records `cycles` of background time with `active` indicating whether
@@ -235,7 +234,8 @@ mod tests {
         m.on_refresh();
         m.on_background(100, false);
         let e = m.energy();
-        let total = e.act_pre_pj + e.read_pj + e.write_pj + e.refresh_pj + e.background_pj + e.io_pj;
+        let total =
+            e.act_pre_pj + e.read_pj + e.write_pj + e.refresh_pj + e.background_pj + e.io_pj;
         assert!((e.total_pj() - total).abs() < 1e-9);
         assert!(e.total_pj() > 0.0);
     }

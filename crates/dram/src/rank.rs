@@ -180,9 +180,8 @@ impl Rank {
         if self.refreshing(now) {
             return false;
         }
-        self.mask_iter(mask).all(|s| {
-            self.sub_bank(bank, s).can_read(now, row) && now >= self.bus_next_rd[s]
-        })
+        self.mask_iter(mask)
+            .all(|s| self.sub_bank(bank, s).can_read(now, row) && now >= self.bus_next_rd[s])
     }
 
     /// Issues a column READ at `now`.
@@ -199,9 +198,8 @@ impl Rank {
         if self.refreshing(now) {
             return false;
         }
-        self.mask_iter(mask).all(|s| {
-            self.sub_bank(bank, s).can_write(now, row) && now >= self.bus_next_wr[s]
-        })
+        self.mask_iter(mask)
+            .all(|s| self.sub_bank(bank, s).can_write(now, row) && now >= self.bus_next_wr[s])
     }
 
     /// Issues a column WRITE at `now`.

@@ -309,7 +309,9 @@ mod tests {
                         _ => AccessWidth::Half(SubrankId(1)),
                     },
                     origin: match kind {
-                        AccessKind::Read => Origin::Demand { core: (i % 4) as u8 },
+                        AccessKind::Read => Origin::Demand {
+                            core: (i % 4) as u8,
+                        },
                         AccessKind::Write => Origin::Writeback,
                     },
                     arrival: i / 2,
@@ -380,7 +382,10 @@ mod tests {
             &cfg,
         );
         assert!(!report.within_tolerance());
-        assert!(report.divergences.iter().any(|d| d.starts_with("envelope:")));
+        assert!(report
+            .divergences
+            .iter()
+            .any(|d| d.starts_with("envelope:")));
     }
 
     #[test]

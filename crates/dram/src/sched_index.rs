@@ -544,7 +544,8 @@ impl CandIndex {
         if c.group == NO_GROUP && !bypass_protection {
             return u64::MAX;
         }
-        c.ready.max(self.terms[c.rank * self.classes + c.class as usize])
+        c.ready
+            .max(self.terms[c.rank * self.classes + c.class as usize])
     }
 
     /// The earliest cycle any grouped request could issue, clamped to no

@@ -9,8 +9,8 @@
 //! both caught.
 
 use attache_dram::{
-    AccessKind, AccessWidth, ConformanceChecker, DramCommand, DramConfig, MemRequest,
-    MemorySystem, Origin, PowerParams, SubrankId, Timing,
+    AccessKind, AccessWidth, ConformanceChecker, DramCommand, DramConfig, MemRequest, MemorySystem,
+    Origin, PowerParams, SubrankId, Timing,
 };
 use attache_testkit::{CorpusCase, Gen};
 
@@ -26,7 +26,11 @@ fn random_request(g: &mut Gen, id: u64, now: u64) -> MemRequest {
     MemRequest {
         id,
         line_addr: g.next_u64() % (1 << 18),
-        kind: if g.bool() { AccessKind::Write } else { AccessKind::Read },
+        kind: if g.bool() {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        },
         width: width(g),
         origin: Origin::Demand { core: 0 },
         arrival: now,
@@ -48,7 +52,10 @@ fn drive(mem: &mut MemorySystem, g: &mut Gen, requests: u64, cycles: u64) {
         mem.tick();
         mem.drain_completions();
     }
-    assert_eq!(sent, requests, "queue pressure kept requests out of the run");
+    assert_eq!(
+        sent, requests,
+        "queue pressure kept requests out of the run"
+    );
 }
 
 #[test]
@@ -63,7 +70,10 @@ fn legal_randomized_traffic_has_zero_violations() {
     let stats = mem.conformance_stats().expect("auditor attached");
     assert!(stats.commands_checked > 0, "auditor saw no commands");
     assert!(stats.activates > 0, "traffic must activate rows");
-    assert!(stats.reads > 0 && stats.writes > 0, "traffic must mix CAS kinds");
+    assert!(
+        stats.reads > 0 && stats.writes > 0,
+        "traffic must mix CAS kinds"
+    );
     assert!(stats.precharges > 0, "row conflicts must precharge");
     assert!(stats.refreshes > 0, "a 26k-cycle run must refresh");
 }
@@ -104,16 +114,44 @@ fn injected_trcd_violation_is_caught() {
     let act = case.require("act-cycle");
     let t = Timing::table2();
     let mut c = ConformanceChecker::new(&DramConfig::table2());
-    c.observe(act, 0, &DramCommand::Activate { bank, row, mask: 0b11 })
-        .expect("the ACT itself is legal");
+    c.observe(
+        act,
+        0,
+        &DramCommand::Activate {
+            bank,
+            row,
+            mask: 0b11,
+        },
+    )
+    .expect("the ACT itself is legal");
     let v = c
-        .observe(act + t.t_rcd - 1, 0, &DramCommand::Read { bank, row, mask: 0b11 })
+        .observe(
+            act + t.t_rcd - 1,
+            0,
+            &DramCommand::Read {
+                bank,
+                row,
+                mask: 0b11,
+            },
+        )
         .unwrap_err();
     assert_eq!(v.rule, "tRCD");
-    assert!(v.detail.contains("RD"), "detail names the command: {}", v.detail);
+    assert!(
+        v.detail.contains("RD"),
+        "detail names the command: {}",
+        v.detail
+    );
     // One cycle later the same command conforms.
-    c.observe(act + t.t_rcd, 0, &DramCommand::Read { bank, row, mask: 0b11 })
-        .expect("CAS at exactly tRCD is legal");
+    c.observe(
+        act + t.t_rcd,
+        0,
+        &DramCommand::Read {
+            bank,
+            row,
+            mask: 0b11,
+        },
+    )
+    .expect("CAS at exactly tRCD is legal");
 }
 
 #[test]

@@ -57,7 +57,11 @@ fn every_request_completes_exactly_once() {
             .map(|(i, (line, is_write, width))| MemRequest {
                 id: i as u64,
                 line_addr: *line,
-                kind: if *is_write { AccessKind::Write } else { AccessKind::Read },
+                kind: if *is_write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
                 width: *width,
                 origin: Origin::Demand { core: 0 },
                 arrival: 0,
@@ -74,9 +78,7 @@ fn every_request_completes_exactly_once() {
         }
         let mut expected: std::collections::HashSet<u64> = backlog
             .iter()
-            .filter(|r| {
-                r.kind == AccessKind::Read || write_lines.get(&r.line_addr) == Some(&r.id)
-            })
+            .filter(|r| r.kind == AccessKind::Read || write_lines.get(&r.line_addr) == Some(&r.id))
             .map(|r| r.id)
             .collect();
         // Reads that match a queued write may be forwarded; they still
@@ -86,7 +88,10 @@ fn every_request_completes_exactly_once() {
         while !(backlog.is_empty() && pending.is_empty() && expected.is_empty()) {
             while let Some(req) = backlog.pop() {
                 let id = req.id;
-                let arrival_fixed = MemRequest { arrival: mem.now(), ..req };
+                let arrival_fixed = MemRequest {
+                    arrival: mem.now(),
+                    ..req
+                };
                 if mem.enqueue(arrival_fixed).is_ok() {
                     pending.push(id);
                 } else {

@@ -135,11 +135,36 @@ const CASES: &[Case] = &[
 /// `(case, completions, stats, energy)` hashes, each recorded on the
 /// scheduler as it stood before the change that added its case.
 const GOLDEN: &[(&str, u64, u64, u64)] = &[
-    ("mixed_widths", 0x91fb3c2f4b70a7f9, 0x1804887452ba2a86, 0xfc75e2fa8341dd89),
-    ("write_drain", 0x1c1fba2c3b1d916e, 0x31250668e9601e1a, 0x9c85a45f418e303e),
-    ("starved_read", 0x76581646a36125b5, 0x9461ccf6d8226d42, 0x51e089ef9a244d8f),
-    ("read_derate", 0x588e61eff6f4d9cb, 0xaf26c8e858cc7171, 0x54e888766d4209ea),
-    ("opportunistic_writes", 0x4cf725dcf4e3c108, 0x1fbc29043b953d1d, 0xf7708a8475b3222c),
+    (
+        "mixed_widths",
+        0x91fb3c2f4b70a7f9,
+        0x1804887452ba2a86,
+        0xfc75e2fa8341dd89,
+    ),
+    (
+        "write_drain",
+        0x1c1fba2c3b1d916e,
+        0x31250668e9601e1a,
+        0x9c85a45f418e303e,
+    ),
+    (
+        "starved_read",
+        0x76581646a36125b5,
+        0x9461ccf6d8226d42,
+        0x51e089ef9a244d8f,
+    ),
+    (
+        "read_derate",
+        0x588e61eff6f4d9cb,
+        0xaf26c8e858cc7171,
+        0x54e888766d4209ea,
+    ),
+    (
+        "opportunistic_writes",
+        0x4cf725dcf4e3c108,
+        0x1fbc29043b953d1d,
+        0xf7708a8475b3222c,
+    ),
 ];
 
 /// The stream: `(offer cycle, request)` in offer order.
@@ -157,9 +182,21 @@ fn stream(case: &Case, cfg: &DramConfig, start: u64) -> Vec<(u64, MemRequest)> {
             let loc = Location {
                 channel: g.below(cfg.channels as u64) as usize,
                 rank: 0,
-                bank_group: if hot { 0 } else { g.below(case.bank_groups as u64) as usize },
-                bank: if hot { 0 } else { g.below(case.banks_per_group as u64) as usize },
-                row: if hot { 0 } else { 1 + g.below(case.rows as u64) as usize },
+                bank_group: if hot {
+                    0
+                } else {
+                    g.below(case.bank_groups as u64) as usize
+                },
+                bank: if hot {
+                    0
+                } else {
+                    g.below(case.banks_per_group as u64) as usize
+                },
+                row: if hot {
+                    0
+                } else {
+                    1 + g.below(case.rows as u64) as usize
+                },
                 col: g.below(case.cols as u64) as usize,
             };
             let width = if hot {
@@ -172,9 +209,17 @@ fn stream(case: &Case, cfg: &DramConfig, start: u64) -> Vec<(u64, MemRequest)> {
             let req = MemRequest {
                 id,
                 line_addr: mapping.compose(loc),
-                kind: if read { AccessKind::Read } else { AccessKind::Write },
+                kind: if read {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                },
                 width,
-                origin: if read { Origin::Demand { core: 0 } } else { Origin::Writeback },
+                origin: if read {
+                    Origin::Demand { core: 0 }
+                } else {
+                    Origin::Writeback
+                },
                 arrival: t,
             };
             (t, req)
@@ -204,7 +249,9 @@ fn run(case: &Case, event: bool) -> Outcome {
     let start = cfg.timing.t_refi - 1_000;
     mem.advance_idle_to(start);
     let arrivals = stream(case, &cfg, start + 1);
-    let derate = case.derate.map(|(at, len, cap)| (start + at, start + at + len, cap));
+    let derate = case
+        .derate
+        .map(|(at, len, cap)| (start + at, start + at + len, cap));
     let mut next = 0;
     let mut out = Outcome {
         completions: Vec::new(),
@@ -291,10 +338,17 @@ fn check_coverage(case: &Case, o: &Outcome) {
         .max()
         .unwrap_or(0);
     let total = |f: fn(&ChannelStats) -> u64| o.stats.iter().map(f).sum::<u64>();
-    assert!(total(|s| s.refreshes) >= 2, "{}: no refresh crossing", case.name);
+    assert!(
+        total(|s| s.refreshes) >= 2,
+        "{}: no refresh crossing",
+        case.name
+    );
     match case.name {
         "mixed_widths" => {
-            assert!(total(|s| s.forwarded_reads) > 0, "mixed_widths: no forwarded read");
+            assert!(
+                total(|s| s.forwarded_reads) > 0,
+                "mixed_widths: no forwarded read"
+            );
             assert!(
                 o.writes_accepted > writes_done as u64,
                 "mixed_widths: no write coalesced"
@@ -304,10 +358,16 @@ fn check_coverage(case: &Case, o: &Outcome) {
                     .iter()
                     .any(|c| matches!(c.request.width, AccessWidth::Half(_)) == half)
             };
-            assert!(widths(true) && widths(false), "mixed_widths: one width only");
+            assert!(
+                widths(true) && widths(false),
+                "mixed_widths: one width only"
+            );
         }
         "write_drain" => {
-            assert!(total(|s| s.drain_episodes) >= 4, "write_drain: too few drain episodes");
+            assert!(
+                total(|s| s.drain_episodes) >= 4,
+                "write_drain: too few drain episodes"
+            );
         }
         "starved_read" => {
             assert!(
@@ -316,11 +376,21 @@ fn check_coverage(case: &Case, o: &Outcome) {
             );
         }
         "read_derate" => {
-            assert!(o.derated_rejections > 0, "read_derate: the derate rejected nothing");
+            assert!(
+                o.derated_rejections > 0,
+                "read_derate: the derate rejected nothing"
+            );
         }
         "opportunistic_writes" => {
-            assert_eq!(total(|s| s.drain_episodes), 0, "opportunistic_writes: a drain started");
-            assert!(total(|s| s.drain_cycles) > 0, "opportunistic_writes: no write served");
+            assert_eq!(
+                total(|s| s.drain_episodes),
+                0,
+                "opportunistic_writes: a drain started"
+            );
+            assert!(
+                total(|s| s.drain_cycles) > 0,
+                "opportunistic_writes: no write served"
+            );
             assert!(
                 reads_done >= 100 && writes_done >= 100,
                 "opportunistic_writes: too few reads ({reads_done}) or writes ({writes_done})"
@@ -359,5 +429,9 @@ fn scheduler_decisions_match_the_recorded_literals_on_both_tick_paths() {
             }
         }
     }
-    assert!(failures.is_empty(), "scheduler golden mismatch:\n{}", failures.join("\n"));
+    assert!(
+        failures.is_empty(),
+        "scheduler golden mismatch:\n{}",
+        failures.join("\n")
+    );
 }

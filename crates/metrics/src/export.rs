@@ -61,7 +61,12 @@ fn push_map<K: AsRef<str>, V: AsRef<str>>(
     out.push_str("{\n");
     let inner = format!("{indent}  ");
     for (i, (k, v)) in items.iter().enumerate() {
-        let _ = write!(out, "{inner}\"{}\": {}", json_escape(k.as_ref()), v.as_ref());
+        let _ = write!(
+            out,
+            "{inner}\"{}\": {}",
+            json_escape(k.as_ref()),
+            v.as_ref()
+        );
         out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
     }
     let _ = write!(out, "{indent}}}");
@@ -73,8 +78,16 @@ fn hist_json(h: &crate::hist::Histogram, indent: &str) -> String {
     let inner = format!("{indent}  ");
     let _ = writeln!(out, "{inner}\"count\": {},", h.count());
     let _ = writeln!(out, "{inner}\"sum\": {},", h.sum());
-    let _ = writeln!(out, "{inner}\"min\": {},", h.min().map_or("null".into(), |v| v.to_string()));
-    let _ = writeln!(out, "{inner}\"max\": {},", h.max().map_or("null".into(), |v| v.to_string()));
+    let _ = writeln!(
+        out,
+        "{inner}\"min\": {},",
+        h.min().map_or("null".into(), |v| v.to_string())
+    );
+    let _ = writeln!(
+        out,
+        "{inner}\"max\": {},",
+        h.max().map_or("null".into(), |v| v.to_string())
+    );
     let _ = write!(out, "{inner}\"buckets\": ");
     push_map(
         &mut out,
@@ -92,11 +105,19 @@ fn hist_json(h: &crate::hist::Histogram, indent: &str) -> String {
 pub fn registry_to_json(reg: &Registry) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"counters\": ");
-    push_map(&mut out, "  ", reg.counters().map(|(k, v)| (k, v.to_string())));
+    push_map(
+        &mut out,
+        "  ",
+        reg.counters().map(|(k, v)| (k, v.to_string())),
+    );
     out.push_str(",\n  \"gauges\": ");
     push_map(&mut out, "  ", reg.gauges().map(|(k, v)| (k, json_f64(v))));
     out.push_str(",\n  \"histograms\": ");
-    push_map(&mut out, "  ", reg.hists().map(|(k, h)| (k, hist_json(h, "    "))));
+    push_map(
+        &mut out,
+        "  ",
+        reg.hists().map(|(k, h)| (k, hist_json(h, "    "))),
+    );
     out.push_str("\n}\n");
     out
 }
@@ -117,9 +138,17 @@ pub fn series_to_json(series: &EpochSeries) -> String {
         out.push_str("    {\n");
         let _ = writeln!(out, "      \"tick\": {},", s.tick);
         out.push_str("      \"counters\": ");
-        push_map(&mut out, "      ", s.registry.counters().map(|(k, v)| (k, v.to_string())));
+        push_map(
+            &mut out,
+            "      ",
+            s.registry.counters().map(|(k, v)| (k, v.to_string())),
+        );
         out.push_str(",\n      \"gauges\": ");
-        push_map(&mut out, "      ", s.registry.gauges().map(|(k, v)| (k, json_f64(v))));
+        push_map(
+            &mut out,
+            "      ",
+            s.registry.gauges().map(|(k, v)| (k, json_f64(v))),
+        );
         out.push_str("\n    }");
         out.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
     }

@@ -58,7 +58,11 @@ fn every_value_lands_in_the_bucket_that_covers_it() {
         assert_eq!(n, 1);
         assert!(lb <= v, "lower bound {lb} must cover value {v}");
         if lb > 0 {
-            assert!(v < lb * 2, "value {v} escaped its bucket [{lb}, {})", lb * 2);
+            assert!(
+                v < lb * 2,
+                "value {v} escaped its bucket [{lb}, {})",
+                lb * 2
+            );
         } else {
             assert_eq!(v, 0, "the zero bucket holds only zero");
         }
@@ -144,9 +148,15 @@ fn epoch_deltas_sum_to_the_final_totals() {
         let deltas = series.counter_deltas();
         assert_eq!(deltas.len(), series.len());
         for key in keys {
-            let recovered: u64 = deltas.iter().map(|(_, d)| d.get(key).copied().unwrap_or(0)).sum();
+            let recovered: u64 = deltas
+                .iter()
+                .map(|(_, d)| d.get(key).copied().unwrap_or(0))
+                .sum();
             let expected = totals.get(key).copied().unwrap_or(0);
-            assert_eq!(recovered, expected, "deltas for {key} must telescope to the total");
+            assert_eq!(
+                recovered, expected,
+                "deltas for {key} must telescope to the total"
+            );
         }
     }
 }

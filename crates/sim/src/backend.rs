@@ -24,8 +24,8 @@
 //! paths.
 
 use attache_compress::Block;
-use attache_workloads::{DataProfile, DataSynthesizer, Profile};
 use attache_core::fasthash::FastMap;
+use attache_workloads::{DataProfile, DataSynthesizer, Profile};
 
 /// One core's region of physical memory.
 #[derive(Debug, Clone)]

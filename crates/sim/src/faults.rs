@@ -668,8 +668,9 @@ impl FaultInjector {
         bytes[..2].copy_from_slice(&header.to_be_bytes());
         self.stats.get_mut(FaultClass::CidForge).injected += 1;
         self.mark_pending(line, FaultClass::CidForge);
-        out.events
-            .push(format!("fault cid_forge @{now}: line {line:#x} header {header:#06x}"));
+        out.events.push(format!(
+            "fault cid_forge @{now}: line {line:#x} header {header:#06x}"
+        ));
         true
     }
 
@@ -703,8 +704,9 @@ impl FaultInjector {
         bytes[..2].copy_from_slice(&marker.to_be_bytes());
         self.stats.get_mut(FaultClass::CidForge).injected += 1;
         self.mark_pending(line, FaultClass::CidForge);
-        out.events
-            .push(format!("fault cid_forge @{now}: line {line:#x} marker {marker:#06x}"));
+        out.events.push(format!(
+            "fault cid_forge @{now}: line {line:#x} marker {marker:#06x}"
+        ));
         true
     }
 
@@ -772,8 +774,9 @@ impl FaultInjector {
         bytes[1] ^= 0x02;
         self.stats.get_mut(FaultClass::CidErase).injected += 1;
         self.mark_pending(line, FaultClass::CidErase);
-        out.events
-            .push(format!("fault cid_erase @{now}: line {line:#x} (escape erased)"));
+        out.events.push(format!(
+            "fault cid_erase @{now}: line {line:#x} (escape erased)"
+        ));
         true
     }
 
@@ -836,8 +839,9 @@ impl FaultInjector {
         }
         self.stats.get_mut(FaultClass::RaCorrupt).injected += 1;
         self.mark_pending(line, FaultClass::RaCorrupt);
-        out.events
-            .push(format!("fault ra_corrupt @{now}: line {line:#x} (exception bytes)"));
+        out.events.push(format!(
+            "fault ra_corrupt @{now}: line {line:#x} (exception bytes)"
+        ));
         true
     }
 
@@ -861,8 +865,9 @@ impl FaultInjector {
         let c = self.stats.get_mut(FaultClass::McInvalidate);
         c.injected += 1;
         c.absorbed += 1;
-        out.events
-            .push(format!("fault mc_invalidate @{now}: covering line {line:#x}"));
+        out.events.push(format!(
+            "fault mc_invalidate @{now}: covering line {line:#x}"
+        ));
         true
     }
 
@@ -1027,7 +1032,10 @@ mod tests {
             .unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.period, 100);
-        assert_eq!(plan.classes, vec![FaultClass::LineFlip, FaultClass::RaCorrupt]);
+        assert_eq!(
+            plan.classes,
+            vec![FaultClass::LineFlip, FaultClass::RaCorrupt]
+        );
         assert_eq!(plan.max, Some(3));
     }
 
@@ -1117,7 +1125,10 @@ mod tests {
 
     #[test]
     fn tick_budget_payload_formats() {
-        let t = TickBudgetExceeded { budget: 10, now: 11 };
+        let t = TickBudgetExceeded {
+            budget: 10,
+            now: 11,
+        };
         let s = t.to_string();
         assert!(s.contains("10"), "{s}");
         assert!(s.contains("11"), "{s}");

@@ -403,7 +403,9 @@ mod tests {
         let b = backend();
         // Find a line whose first touch corrects: every touch deposits a
         // flip, so the first read of any non-sticky line has exactly one.
-        let line = (0..512u64).find(|&l| e.process.sticky(l).is_none()).unwrap();
+        let line = (0..512u64)
+            .find(|&l| e.process.sticky(l).is_none())
+            .unwrap();
         let v1 = e.touch_read(line, 0, false, &b);
         assert_eq!(v1, EccVerdict::Corrected);
         assert_eq!(e.stats().total_corrected(), 1);
@@ -427,7 +429,9 @@ mod tests {
     fn writes_and_recovery_clear_transients() {
         let mut e = IntegrityEngine::new(3, ALWAYS, true);
         let b = backend();
-        let line = (0..512u64).find(|&l| e.process.sticky(l).is_none()).unwrap();
+        let line = (0..512u64)
+            .find(|&l| e.process.sticky(l).is_none())
+            .unwrap();
         assert_eq!(e.touch_read(line, 0, false, &b), EccVerdict::Corrected);
         // A writeback replaces the cells: the next touch sees only the
         // fresh flip it deposits itself.
@@ -457,7 +461,9 @@ mod tests {
     fn ecc_off_counts_silent_corruption_and_amplification() {
         let mut e = IntegrityEngine::new(5, ALWAYS, false);
         let b = backend();
-        let line = (0..512u64).find(|&l| e.process.sticky(l).is_none()).unwrap();
+        let line = (0..512u64)
+            .find(|&l| e.process.sticky(l).is_none())
+            .unwrap();
         // Touch until a *data* bit flips (check-bit flips are dropped
         // with ECC off, decoding as Clean).
         let mut silent = 0u64;

@@ -200,10 +200,15 @@ mod tests {
         m.record_write(42, &patterned(0));
         let mut corrupted = patterned(0);
         corrupted[17] ^= 0x80;
-        let err = m.check_read(42, &corrupted).expect_err("must catch the flip");
+        let err = m
+            .check_read(42, &corrupted)
+            .expect_err("must catch the flip");
         assert_eq!(err.line, 42);
         let msg = err.to_string();
-        assert!(msg.contains("byte 17"), "diagnostic must name the byte: {msg}");
+        assert!(
+            msg.contains("byte 17"),
+            "diagnostic must name the byte: {msg}"
+        );
         assert!(msg.contains("1 byte(s) differ"), "diagnostic: {msg}");
     }
 

@@ -173,7 +173,10 @@ impl Observer {
         // sim.* — the metadata-bandwidth split the paper argues from.
         let m = mem.stats();
         r.set_counter("sim.bus_cycles", m.cycles);
-        r.set_counter("sim.traffic.reads.data", m.demand_reads + m.corrective_reads);
+        r.set_counter(
+            "sim.traffic.reads.data",
+            m.demand_reads + m.corrective_reads,
+        );
         r.set_counter(
             "sim.traffic.reads.metadata",
             m.metadata_reads + m.replacement_area_reads,
@@ -216,7 +219,10 @@ impl Observer {
         r.set_counter(&format!("cache.llc.{lp}.hits"), ls.hits);
         r.set_counter(&format!("cache.llc.{lp}.misses"), ls.misses);
         r.set_counter(&format!("cache.llc.{lp}.evictions"), ls.evictions);
-        r.set_counter(&format!("cache.llc.{lp}.dirty_evictions"), ls.dirty_evictions);
+        r.set_counter(
+            &format!("cache.llc.{lp}.dirty_evictions"),
+            ls.dirty_evictions,
+        );
 
         // cache.mc.{policy}.* — MetadataCache strategy only.
         if let Some((mc, traffic)) = strategy.metadata_cache_stats() {
@@ -225,9 +231,18 @@ impl Observer {
             r.set_counter(&format!("cache.mc.{mp}.hits"), mc.hits);
             r.set_counter(&format!("cache.mc.{mp}.misses"), mc.misses);
             r.set_counter(&format!("cache.mc.{mp}.evictions"), mc.evictions);
-            r.set_counter(&format!("cache.mc.{mp}.dirty_evictions"), mc.dirty_evictions);
-            r.set_counter(&format!("cache.mc.{mp}.install_reads"), traffic.install_reads);
-            r.set_counter(&format!("cache.mc.{mp}.eviction_writes"), traffic.eviction_writes);
+            r.set_counter(
+                &format!("cache.mc.{mp}.dirty_evictions"),
+                mc.dirty_evictions,
+            );
+            r.set_counter(
+                &format!("cache.mc.{mp}.install_reads"),
+                traffic.install_reads,
+            );
+            r.set_counter(
+                &format!("cache.mc.{mp}.eviction_writes"),
+                traffic.eviction_writes,
+            );
         }
 
         // core.* — Attaché strategy only.

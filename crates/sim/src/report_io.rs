@@ -60,10 +60,18 @@ pub fn to_text(report: &RunReport, key: &str) -> String {
     push_u64(&mut s, "mem.demand_reads", m.demand_reads);
     push_u64(&mut s, "mem.corrective_reads", m.corrective_reads);
     push_u64(&mut s, "mem.metadata_reads", m.metadata_reads);
-    push_u64(&mut s, "mem.replacement_area_reads", m.replacement_area_reads);
+    push_u64(
+        &mut s,
+        "mem.replacement_area_reads",
+        m.replacement_area_reads,
+    );
     push_u64(&mut s, "mem.data_writes", m.data_writes);
     push_u64(&mut s, "mem.metadata_writes", m.metadata_writes);
-    push_u64(&mut s, "mem.replacement_area_writes", m.replacement_area_writes);
+    push_u64(
+        &mut s,
+        "mem.replacement_area_writes",
+        m.replacement_area_writes,
+    );
     push_u64(&mut s, "mem.row_hits", m.row_hits);
     push_u64(&mut s, "mem.row_misses", m.row_misses);
     push_u64(&mut s, "mem.activates", m.activates);
@@ -153,7 +161,11 @@ pub fn to_text(report: &RunReport, key: &str) -> String {
         );
         push_u64(&mut s, "integrity.scrub_checks", i.scrub_checks);
         push_u64(&mut s, "integrity.scrub_corrected", i.scrub_corrected);
-        push_u64(&mut s, "integrity.scrub_uncorrectable", i.scrub_uncorrectable);
+        push_u64(
+            &mut s,
+            "integrity.scrub_uncorrectable",
+            i.scrub_uncorrectable,
+        );
         push_u64(&mut s, "integrity.scrub_skipped_busy", i.scrub_skipped_busy);
         push_u64(&mut s, "integrity.ecc_check_bytes", i.ecc_check_bytes);
     }
@@ -454,7 +466,10 @@ mod tests {
                 compressed_reads: 600,
                 read_collisions: 2,
             });
-            r.ra = Some(ReplacementAreaStats { writes: 1, reads: 2 });
+            r.ra = Some(ReplacementAreaStats {
+                writes: 1,
+                reads: 2,
+            });
         }
         if strategy == MetadataStrategyKind::Cram {
             r.cram = Some(CramStats {

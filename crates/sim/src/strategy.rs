@@ -47,9 +47,9 @@ use attache_cache::{MetadataCache, MetadataCacheConfig};
 use attache_core::blem::{Blem, StoredImage};
 use attache_core::copr::{Copr, CoprConfig};
 use attache_core::cram::Cram;
+use attache_core::fasthash::FastMap;
 use attache_core::memo::MemoizedEngine;
 use attache_dram::{AccessKind, AccessWidth, AddressMapping, Origin, SubrankId};
-use attache_core::fasthash::FastMap;
 use std::cell::RefCell;
 
 use crate::backend::MemoryBackend;
@@ -402,7 +402,8 @@ impl Strategy {
         let mirror = self.mirror.as_mut().expect("mirror present");
         mirror.check_read(line, &rec).expect("identity check");
         assert_eq!(
-            comp, expect,
+            comp,
+            expect,
             "[attache-sim] {} mirror oracle: line {line:#x} classified \
              compressed={comp} but the stored bytes compress to {expect}{}",
             self.kind,
@@ -829,7 +830,11 @@ impl Strategy {
                 }
                 let changed = old != c;
                 let mc = self.meta_cache.as_mut().expect("metadata cache present");
-                let lookup = if changed { mc.update(line) } else { mc.lookup(line) };
+                let lookup = if changed {
+                    mc.update(line)
+                } else {
+                    mc.lookup(line)
+                };
                 let meta_line = self.metadata_line_of(line);
                 let mut side = Vec::new();
                 if lookup.install_read {
@@ -964,9 +969,7 @@ impl Strategy {
 
     /// COPR accuracy counters split by the predictor component that
     /// answered, in priority order (Attaché only).
-    pub fn copr_source_stats(
-        &self,
-    ) -> Option<[(&'static str, attache_core::copr::CoprStats); 4]> {
+    pub fn copr_source_stats(&self) -> Option<[(&'static str, attache_core::copr::CoprStats); 4]> {
         use attache_core::copr::CoprSource;
         self.copr
             .as_ref()
@@ -991,7 +994,10 @@ impl Strategy {
     /// Metadata-Cache statistics (MetadataCache only).
     pub fn metadata_cache_stats(
         &self,
-    ) -> Option<(attache_cache::CacheStats, attache_cache::metadata_cache::MetadataTraffic)> {
+    ) -> Option<(
+        attache_cache::CacheStats,
+        attache_cache::metadata_cache::MetadataTraffic,
+    )> {
         self.meta_cache.as_ref().map(|m| (m.stats(), m.traffic()))
     }
 
@@ -1172,15 +1178,27 @@ mod tests {
 
     #[test]
     fn lookup_delays_match_strategies() {
-        assert_eq!(strategy(MetadataStrategyKind::Baseline).lookup_delay_bus_cycles(), 0);
-        assert_eq!(strategy(MetadataStrategyKind::Oracle).lookup_delay_bus_cycles(), 0);
-        assert_eq!(strategy(MetadataStrategyKind::Attache).lookup_delay_bus_cycles(), 3);
+        assert_eq!(
+            strategy(MetadataStrategyKind::Baseline).lookup_delay_bus_cycles(),
+            0
+        );
+        assert_eq!(
+            strategy(MetadataStrategyKind::Oracle).lookup_delay_bus_cycles(),
+            0
+        );
+        assert_eq!(
+            strategy(MetadataStrategyKind::Attache).lookup_delay_bus_cycles(),
+            3
+        );
         assert_eq!(
             strategy(MetadataStrategyKind::MetadataCache).lookup_delay_bus_cycles(),
             3
         );
         // Implicit metadata consults nothing before issuing.
-        assert_eq!(strategy(MetadataStrategyKind::Cram).lookup_delay_bus_cycles(), 0);
+        assert_eq!(
+            strategy(MetadataStrategyKind::Cram).lookup_delay_bus_cycles(),
+            0
+        );
     }
 
     #[test]

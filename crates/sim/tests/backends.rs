@@ -72,7 +72,11 @@ fn explicit_cycle_backend_is_the_default() {
         .with_instructions(6_000, 1_000);
     assert_eq!(base.backend, BackendKind::Cycle);
     let a = System::run_rate_mode(&base, Profile::stream(), 9);
-    let b = System::run_rate_mode(&base.clone().with_backend(BackendKind::Cycle), Profile::stream(), 9);
+    let b = System::run_rate_mode(
+        &base.clone().with_backend(BackendKind::Cycle),
+        Profile::stream(),
+        9,
+    );
     assert_eq!(a, b, "with_backend(Cycle) must be a no-op");
     assert_eq!(a.energy.total_pj().to_bits(), b.energy.total_pj().to_bits());
 }
@@ -133,7 +137,10 @@ fn mirror_oracle_holds_on_the_fast_backend() {
     // Functional correctness is backend-independent: every decoded read
     // on the fast backend still byte-checks against the shadow copy
     // (the mirror panics on divergence, so completing is the assertion).
-    for s in [MetadataStrategyKind::Attache, MetadataStrategyKind::MetadataCache] {
+    for s in [
+        MetadataStrategyKind::Attache,
+        MetadataStrategyKind::MetadataCache,
+    ] {
         let cfg = quick(s, BackendKind::Fast).with_mirror(true);
         let r = System::run_rate_mode(&cfg, Profile::rand(), 31);
         assert!(r.bus_cycles > 0, "{s}");
@@ -151,9 +158,16 @@ fn fast_backend_reports_consistent_bandwidth_accounting() {
         3,
     );
     let t_burst = 4; // Table II
-    assert_eq!(r.mem.busy_bus_cycles % t_burst, 0, "busy counts whole bursts");
+    assert_eq!(
+        r.mem.busy_bus_cycles % t_burst,
+        0,
+        "busy counts whole bursts"
+    );
     assert!(r.mem.bytes >= 32 * r.mem.total_requests());
     assert!(r.mem.bytes <= 64 * r.mem.total_requests());
     assert!(r.mem.read_latency_count > 0);
-    assert!(r.mem.avg_read_latency() >= (1 + 22 + 22 + 4) as f64, "no read beats the cold-read floor");
+    assert!(
+        r.mem.avg_read_latency() >= (1 + 22 + 22 + 4) as f64,
+        "no read beats the cold-read floor"
+    );
 }

@@ -48,7 +48,11 @@ fn pinned_collision_exercises_the_exception_path() {
     // Writeback: stored verbatim (no compressed_write), with the escape
     // side write parking the displaced bytes in the exception region.
     let wp = s.plan_write(line, 0, &backend);
-    assert_eq!(wp.data.width, AccessWidth::Full, "colliding line stays full width");
+    assert_eq!(
+        wp.data.width,
+        AccessWidth::Full,
+        "colliding line stays full width"
+    );
     assert_eq!(
         wp.side,
         vec![attache_sim::strategy::ReqSpec {
@@ -62,7 +66,10 @@ fn pinned_collision_exercises_the_exception_path() {
     let cs = s.cram_stats().expect("cram strategy reports marker stats");
     assert_eq!(cs.writes, 1);
     assert_eq!(cs.compressed_writes, 0);
-    assert_eq!(cs.write_exceptions, 1, "exception-path write counter is non-vacuous");
+    assert_eq!(
+        cs.write_exceptions, 1,
+        "exception-path write counter is non-vacuous"
+    );
 
     // Read: optimistic half fetch (implicit metadata — nothing to
     // consult first), then a corrective other-half fetch plus the
@@ -73,7 +80,11 @@ fn pinned_collision_exercises_the_exception_path() {
     assert_eq!(rp.predicted_compressed, None);
     let mut follow = Vec::new();
     s.on_read_data(line, rp.predicted_compressed, 0, &backend, &mut follow);
-    assert_eq!(follow.len(), 2, "corrective half + exception fetch: {follow:?}");
+    assert_eq!(
+        follow.len(),
+        2,
+        "corrective half + exception fetch: {follow:?}"
+    );
     assert!(
         follow
             .iter()
@@ -90,7 +101,10 @@ fn pinned_collision_exercises_the_exception_path() {
     let cs = s.cram_stats().expect("cram strategy reports marker stats");
     assert_eq!(cs.reads, 1);
     assert_eq!(cs.compressed_reads, 0);
-    assert_eq!(cs.read_exceptions, 1, "exception-path read counter is non-vacuous");
+    assert_eq!(
+        cs.read_exceptions, 1,
+        "exception-path read counter is non-vacuous"
+    );
 }
 
 /// One-off search harness used to pin the corpus case; kept ignored so

@@ -20,7 +20,10 @@ fn env_knob_parsing_is_total() {
     std::env::set_var("ATTACHE_EPOCH", "10k");
     assert_eq!(env_u64_opt("ATTACHE_EPOCH"), None);
     let cfg = SimConfig::table2_baseline();
-    assert_eq!(cfg.epoch, None, "a typo'd ATTACHE_EPOCH must fall back to disabled");
+    assert_eq!(
+        cfg.epoch, None,
+        "a typo'd ATTACHE_EPOCH must fall back to disabled"
+    );
 
     // "0" and "" both mean disabled.
     std::env::set_var("ATTACHE_EPOCH", "0");
@@ -67,11 +70,18 @@ fn env_knob_parsing_is_total() {
         "a typo'd ATTACHE_FAULTS must fall back to disabled"
     );
     std::env::set_var("ATTACHE_FAULTS", "1234");
-    let plan = SimConfig::table2_baseline().faults.expect("bare seed arms the plan");
+    let plan = SimConfig::table2_baseline()
+        .faults
+        .expect("bare seed arms the plan");
     assert_eq!(plan.seed, 1234);
     assert_eq!(plan.period, FaultPlan::DEFAULT_PERIOD);
-    std::env::set_var("ATTACHE_FAULTS", "seed=9,period=100,classes=ra_corrupt,max=3");
-    let plan = SimConfig::table2_baseline().faults.expect("full spec arms the plan");
+    std::env::set_var(
+        "ATTACHE_FAULTS",
+        "seed=9,period=100,classes=ra_corrupt,max=3",
+    );
+    let plan = SimConfig::table2_baseline()
+        .faults
+        .expect("full spec arms the plan");
     assert_eq!((plan.seed, plan.period, plan.max), (9, 100, Some(3)));
     assert_eq!(plan.classes, vec![attache_sim::FaultClass::RaCorrupt]);
     std::env::remove_var("ATTACHE_FAULTS");
@@ -90,10 +100,16 @@ fn env_knob_parsing_is_total() {
     std::env::set_var("ATTACHE_ECC", "0");
     std::env::set_var("ATTACHE_SCRUB", "");
     let cfg = SimConfig::table2_baseline();
-    assert_eq!(cfg.ber_ppm, None, "a typo'd ATTACHE_BER must fall back to disabled");
+    assert_eq!(
+        cfg.ber_ppm, None,
+        "a typo'd ATTACHE_BER must fall back to disabled"
+    );
     assert!(!cfg.ecc);
     assert_eq!(cfg.scrub_period, None);
-    assert!(!cfg.integrity_armed(), "disarmed knobs must not construct an engine");
+    assert!(
+        !cfg.integrity_armed(),
+        "disarmed knobs must not construct an engine"
+    );
     std::env::set_var("ATTACHE_BER", "40000");
     std::env::set_var("ATTACHE_ECC", "1");
     std::env::set_var("ATTACHE_SCRUB", "500");
@@ -154,8 +170,8 @@ fn every_registered_knob_is_documented_in_knobs_md() {
     // fails this test (the satellite contract of PR 6). The knob name
     // must appear in backticks, i.e. as a table entry, not prose luck.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/KNOBS.md");
-    let doc = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("docs/KNOBS.md must exist ({e})"));
+    let doc =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("docs/KNOBS.md must exist ({e})"));
     let missing: Vec<&str> = KNOWN_KNOBS
         .iter()
         .copied()
@@ -195,11 +211,11 @@ fn unknown_knob_classifier_flags_typos_only() {
     // Pure classifier — no environment mutation, so it can coexist with
     // the env-mutating test above.
     let names = [
-        "ATTACHE_EPOC",    // the motivating typo
-        "ATTACHE_EPOCH",   // known
-        "ATTACHE_FAULTS",  // known
-        "PATH",            // not our namespace
-        "ATTACHEMENT",     // no underscore — not our namespace
+        "ATTACHE_EPOC",   // the motivating typo
+        "ATTACHE_EPOCH",  // known
+        "ATTACHE_FAULTS", // known
+        "PATH",           // not our namespace
+        "ATTACHEMENT",    // no underscore — not our namespace
         "ATTACHE_NEW_KNOB_NOBODY_READS",
         // Removed knobs: a stale export must warn, not panic.
         "ATTACHE_SHARDS",

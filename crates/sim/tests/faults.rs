@@ -101,7 +101,10 @@ fn fault_schedule_is_engine_invariant() {
         "per-class fault accounting diverged across engines"
     );
     let total_injected: u64 = results[0].1.iter().map(|(_, c)| c[0]).sum();
-    assert!(total_injected > 0, "the chaos run must actually inject faults");
+    assert!(
+        total_injected > 0,
+        "the chaos run must actually inject faults"
+    );
 }
 
 #[test]
@@ -222,14 +225,27 @@ fn cram_marker_faults_are_detected_or_absorbed() {
             detected += det;
             absorbed += abs;
         }
-        for class in [FaultClass::LineFlip, FaultClass::CidForge, FaultClass::KeySwap] {
+        for class in [
+            FaultClass::LineFlip,
+            FaultClass::CidForge,
+            FaultClass::KeySwap,
+        ] {
             let [inj, ..] = fault_counters(&reg, class);
             assert!(inj > 0, "{engine:?} {class}: must fire under Cram");
         }
         let [mc_inj, ..] = fault_counters(&reg, FaultClass::McInvalidate);
-        assert_eq!(mc_inj, 0, "{engine:?}: no Metadata-Cache exists to invalidate");
-        assert!(detected > 0, "{engine:?}: marker corruption must surface to the oracle");
-        assert!(absorbed > 0, "{engine:?}: rewrites must absorb some corruption");
+        assert_eq!(
+            mc_inj, 0,
+            "{engine:?}: no Metadata-Cache exists to invalidate"
+        );
+        assert!(
+            detected > 0,
+            "{engine:?}: marker corruption must surface to the oracle"
+        );
+        assert!(
+            absorbed > 0,
+            "{engine:?}: rewrites must absorb some corruption"
+        );
     }
 }
 
@@ -284,7 +300,10 @@ fn faults_off_is_pure() {
     // assertions above would pass vacuously.
     let on_cfg = cfg.with_faults(Some(FaultPlan::new(1)));
     let (on, _) = System::run_rate_mode_observed(&on_cfg, chaos_profile(), 7);
-    assert_ne!(base, on, "fault injection must perturb the run it is armed on");
+    assert_ne!(
+        base, on,
+        "fault injection must perturb the run it is armed on"
+    );
 }
 
 #[test]
@@ -380,7 +399,10 @@ fn pinned_key_swap_at_horizon_edges_is_attributed_identically() {
             others
         }));
     }
-    assert_eq!(results[0].0, results[1].0, "key-swap run diverged across engines");
+    assert_eq!(
+        results[0].0, results[1].0,
+        "key-swap run diverged across engines"
+    );
     assert_eq!(
         results[0].1, results[1].1,
         "key_swap accounting diverged across engines"
@@ -417,22 +439,30 @@ fn ra_corruption_is_detected_and_attributed() {
         cfg.cid_bits = case.require("cid-bits") as u8;
         let (report, obs) = System::run_rate_mode_observed(&cfg, chaos_profile(), 23);
         let ra = report.ra.expect("attache reports ra stats");
-        assert!(ra.reads > 0, "{engine:?}: the scenario must exercise RA reads");
+        assert!(
+            ra.reads > 0,
+            "{engine:?}: the scenario must exercise RA reads"
+        );
         let reg = obs.expect("trace ring arms the observer").registry;
         let [inj, det, _, undet] = fault_counters(&reg, FaultClass::RaCorrupt);
-        assert!(inj > 0, "{engine:?}: the pinned schedule must inject RA faults");
+        assert!(
+            inj > 0,
+            "{engine:?}: the pinned schedule must inject RA faults"
+        );
         assert!(
             det > 0,
             "{engine:?}: a corrupted displaced bit must surface on a collided \
              read and be caught by the oracle"
         );
-        assert_eq!(undet, 0, "{engine:?}: no RA corruption may escape the oracle");
+        assert_eq!(
+            undet, 0,
+            "{engine:?}: no RA corruption may escape the oracle"
+        );
         for class in FaultClass::ALL {
             if class != FaultClass::RaCorrupt {
                 let c = fault_counters(&reg, class);
                 assert_eq!(
-                    c,
-                    [0; 4],
+                    c, [0; 4],
                     "{engine:?}: {class} was never scheduled but has activity"
                 );
             }

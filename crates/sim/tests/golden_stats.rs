@@ -97,7 +97,10 @@ fn golden_stats_match_for_all_strategies_under_both_engines() {
             // The series must have crossed at least one epoch boundary
             // (plus the final snapshot), and its last snapshot must be
             // the cumulative registry.
-            let series = obs.series.as_ref().expect("epoch sampling produces a series");
+            let series = obs
+                .series
+                .as_ref()
+                .expect("epoch sampling produces a series");
             assert!(
                 series.len() >= 2,
                 "{strategy} {engine:?}: expected >= 2 samples, got {}",

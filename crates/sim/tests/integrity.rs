@@ -62,8 +62,14 @@ fn ecc_corrects_and_recovers_for_every_strategy() {
         let report = System::run_rate_mode(&cfg, soak_profile(), 7);
         let i = report.integrity.expect("armed runs report integrity stats");
         assert!(i.reads_checked > 0, "{strategy}: ECC never saw a read");
-        assert!(i.injected_flips > 0, "{strategy}: the error process never fired");
-        assert!(i.total_corrected() > 0, "{strategy}: no single-bit upset corrected");
+        assert!(
+            i.injected_flips > 0,
+            "{strategy}: the error process never fired"
+        );
+        assert!(
+            i.total_corrected() > 0,
+            "{strategy}: no single-bit upset corrected"
+        );
         assert_eq!(
             i.total_uncorrectable(),
             i.recovered + i.data_loss,
@@ -71,7 +77,10 @@ fn ecc_corrects_and_recovers_for_every_strategy() {
         );
         if strategy == MetadataStrategyKind::Baseline {
             assert_eq!(i.recovered, 0, "Baseline has no redundancy to recover from");
-            assert_eq!(i.sdc_averted, i.data_loss, "detection averts exactly the losses");
+            assert_eq!(
+                i.sdc_averted, i.data_loss,
+                "detection averts exactly the losses"
+            );
         } else {
             assert_eq!(i.data_loss, 0, "{strategy}: recovery must avert data loss");
         }
@@ -79,7 +88,10 @@ fn ecc_corrects_and_recovers_for_every_strategy() {
             i.silent_corruption_reads, 0,
             "{strategy}: ECC-on runs must never deliver silent corruption"
         );
-        assert!(i.ecc_check_bytes > 0, "{strategy}: the check-bit tax must be charged");
+        assert!(
+            i.ecc_check_bytes > 0,
+            "{strategy}: the check-bit tax must be charged"
+        );
         total_uncorrectable += i.total_uncorrectable();
     }
     assert!(
@@ -100,14 +112,13 @@ fn integrity_off_is_pure() {
             let base = soak_config(engine)
                 .with_backend(backend)
                 .with_strategy(MetadataStrategyKind::Attache);
-            let off = base
-                .clone()
-                .with_ber(None)
-                .with_ecc(false)
-                .with_scrub(None);
+            let off = base.clone().with_ber(None).with_ecc(false).with_scrub(None);
             let a = System::run_rate_mode(&base, soak_profile(), 5);
             let b = System::run_rate_mode(&off, soak_profile(), 5);
-            assert_eq!(a, b, "{engine:?} {backend:?}: disarmed knobs must be a no-op");
+            assert_eq!(
+                a, b,
+                "{engine:?} {backend:?}: disarmed knobs must be a no-op"
+            );
             assert!(a.integrity.is_none(), "no engine may exist with knobs off");
             let text = attache_sim::report_io::to_text(&a, "k");
             assert!(
@@ -152,7 +163,10 @@ fn armed_runs_are_engine_invariant() {
             "{strategy}: engines diverged under armed integrity knobs"
         );
         let i = reports[0].integrity.expect("armed");
-        assert!(i.injected_flips > 0, "{strategy}: the invariance check must not be vacuous");
+        assert!(
+            i.injected_flips > 0,
+            "{strategy}: the invariance check must not be vacuous"
+        );
     }
 
     // The fast backend has its own timing, so its reports cannot match
@@ -167,7 +181,10 @@ fn armed_runs_are_engine_invariant() {
             .with_scrub(Some(400));
         fast.push(System::run_rate_mode(&cfg, soak_profile(), 9));
     }
-    assert_eq!(fast[0], fast[1], "fast backend diverged across engines under integrity");
+    assert_eq!(
+        fast[0], fast[1],
+        "fast backend diverged across engines under integrity"
+    );
 }
 
 #[test]
@@ -184,7 +201,10 @@ fn ecc_off_measures_silent_corruption() {
         .with_ber(Some(40_000));
     let report = System::run_rate_mode(&cfg, soak_profile(), 11);
     let i = report.integrity.expect("armed");
-    assert!(i.silent_corruption_reads > 0, "unprotected flips must surface");
+    assert!(
+        i.silent_corruption_reads > 0,
+        "unprotected flips must surface"
+    );
     assert!(i.corrupted_bytes_delivered > 0);
     assert!(
         i.amplification() >= 1.0,
@@ -211,7 +231,10 @@ fn scrub_walks_lines_and_repairs_latched_flips() {
     let report = System::run_rate_mode(&armed, soak_profile(), 13);
     let i = report.integrity.expect("armed");
     assert!(i.scrub_checks > 0, "the scrub clock must fire");
-    assert!(report.mem.scrub_reads > 0, "scrub reads must be charged to DRAM");
+    assert!(
+        report.mem.scrub_reads > 0,
+        "scrub reads must be charged to DRAM"
+    );
     assert_eq!(
         report.mem.scrub_reads, i.scrub_checks,
         "every functional scrub check pairs with exactly one charged read"
@@ -220,7 +243,10 @@ fn scrub_walks_lines_and_repairs_latched_flips() {
         i.scrub_corrected + i.scrub_uncorrectable <= i.scrub_checks,
         "scrub outcomes cannot exceed checks"
     );
-    assert!(i.scrub_corrected > 0, "the soak rate must latch flips for scrub to repair");
+    assert!(
+        i.scrub_corrected > 0,
+        "the soak rate must latch flips for scrub to repair"
+    );
 
     // Scrubbing must reduce uncorrectable reads relative to the same
     // run without it (fewer latched singles left to pair into doubles).

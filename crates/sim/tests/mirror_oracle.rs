@@ -31,7 +31,9 @@ fn random_profile(g: &mut Gen) -> Profile {
     let pattern = match g.below(3) {
         0 => AccessPattern::Random,
         1 => AccessPattern::graph(),
-        _ => AccessPattern::PointerChase { locality: 0.5 + 0.4 * g.unit() },
+        _ => AccessPattern::PointerChase {
+            locality: 0.5 + 0.4 * g.unit(),
+        },
     };
     let comp = g.unit();
     let data = if comp < 0.25 {
@@ -125,7 +127,10 @@ fn oracle_survives_forced_cid_collisions_and_ra_traffic() {
             blem.write_collisions > 0,
             "{engine:?}: the narrow CID must force write collisions"
         );
-        assert!(ra.writes > 0, "{engine:?}: collisions must displace bits into the RA");
+        assert!(
+            ra.writes > 0,
+            "{engine:?}: collisions must displace bits into the RA"
+        );
         assert!(
             ra.reads > 0,
             "{engine:?}: collided lines must be re-read through the RA path"
@@ -158,11 +163,13 @@ fn oracle_is_a_pure_observer() {
     let case = CorpusCase::load("mirror-trace");
     let mut g = Gen::new(case.require("base-seed") ^ 0x0b5e);
     let profile = random_profile(&mut g);
-    for strategy in [MetadataStrategyKind::Baseline, MetadataStrategyKind::Attache] {
+    for strategy in [
+        MetadataStrategyKind::Baseline,
+        MetadataStrategyKind::Attache,
+    ] {
         let cfg = quick(strategy, EngineKind::Event);
         let with = System::run_rate_mode(&cfg, profile.clone(), 7);
-        let without =
-            System::run_rate_mode(&cfg.clone().with_mirror(false), profile.clone(), 7);
+        let without = System::run_rate_mode(&cfg.clone().with_mirror(false), profile.clone(), 7);
         assert_eq!(with, without, "mirror oracle perturbed a {strategy} run");
     }
 }

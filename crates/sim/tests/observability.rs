@@ -60,7 +60,10 @@ fn observability_knobs_do_not_perturb_the_run_report() {
     for strategy in MetadataStrategyKind::ALL {
         for engine in ENGINES {
             let off = quick(strategy, engine);
-            let on = off.clone().with_epoch(Some(5_000)).with_trace_ring(Some(128));
+            let on = off
+                .clone()
+                .with_epoch(Some(5_000))
+                .with_trace_ring(Some(128));
             let plain = System::run_rate_mode(&off, profile.clone(), 77);
             let (observed, obs) = System::run_rate_mode_observed(&on, profile.clone(), 77);
             assert_eq!(
@@ -88,12 +91,20 @@ fn epoch_series_deltas_telescope_to_the_registry_totals() {
         let (_, obs) = System::run_rate_mode_observed(&cfg, profile.clone(), 31);
         let obs = obs.expect("epoch knob is on");
         let series = obs.series.expect("epoch sampling produces a series");
-        assert!(series.len() >= 2, "{engine:?}: run too short to cross an epoch");
+        assert!(
+            series.len() >= 2,
+            "{engine:?}: run too short to cross an epoch"
+        );
         let deltas = series.counter_deltas();
         for (key, total) in obs.registry.counters() {
-            let recovered: u64 =
-                deltas.iter().map(|(_, d)| d.get(key).copied().unwrap_or(0)).sum();
-            assert_eq!(recovered, total, "{engine:?}: deltas for {key} must telescope");
+            let recovered: u64 = deltas
+                .iter()
+                .map(|(_, d)| d.get(key).copied().unwrap_or(0))
+                .sum();
+            assert_eq!(
+                recovered, total,
+                "{engine:?}: deltas for {key} must telescope"
+            );
         }
     }
 }
@@ -153,6 +164,10 @@ fn tick_budget_watchdog_panics_with_a_typed_payload() {
             .downcast_ref::<TickBudgetExceeded>()
             .expect("the watchdog's payload is a TickBudgetExceeded");
         assert_eq!(t.budget, BUDGET, "{engine:?}");
-        assert!(t.now > BUDGET, "{engine:?}: fired at {} before the budget ran out", t.now);
+        assert!(
+            t.now > BUDGET,
+            "{engine:?}: fired at {} before the budget ran out",
+            t.now
+        );
     }
 }

@@ -50,7 +50,11 @@ impl CorpusCase {
                     .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'),
             "corpus case name must be kebab-case, got {name:?}"
         );
-        CorpusCase { name: name.to_string(), notes: Vec::new(), values: BTreeMap::new() }
+        CorpusCase {
+            name: name.to_string(),
+            notes: Vec::new(),
+            values: BTreeMap::new(),
+        }
     }
 
     /// Builder-style [`CorpusCase::set`].
@@ -161,7 +165,9 @@ mod tests {
 
     #[test]
     fn text_roundtrip_is_exact() {
-        let mut c = CorpusCase::new("roundtrip-demo").with("seed", 3).with("line", 0x63);
+        let mut c = CorpusCase::new("roundtrip-demo")
+            .with("seed", 3)
+            .with("line", 0x63);
         c.notes.push("a note".to_string());
         let back = CorpusCase::parse(&c.to_text()).unwrap();
         assert_eq!(back, c);
@@ -192,8 +198,8 @@ mod tests {
                 continue;
             }
             let text = std::fs::read_to_string(&path).unwrap();
-            let case = CorpusCase::parse(&text)
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let case =
+                CorpusCase::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
             assert_eq!(
                 path.file_stem().and_then(|s| s.to_str()),
                 Some(case.name.as_str()),

@@ -96,7 +96,9 @@ impl Gen {
     /// compress-crate generator: ±300 deltas, four layouts.)
     pub fn structured_block(&mut self) -> [u8; 64] {
         let base = self.next_u64();
-        let deltas: Vec<i64> = (0..8).map(|_| (self.next_u64() % 600) as i64 - 300).collect();
+        let deltas: Vec<i64> = (0..8)
+            .map(|_| (self.next_u64() % 600) as i64 - 300)
+            .collect();
         let kind = self.next_u64() % 4;
         let mut b = [0u8; 64];
         match kind {
@@ -136,7 +138,9 @@ impl Gen {
     pub fn biased_block(&mut self) -> [u8; 64] {
         let base = self.next_u64();
         let kind = self.next_u64() % 4;
-        let deltas: Vec<i64> = (0..8).map(|_| (self.next_u64() % 200) as i64 - 100).collect();
+        let deltas: Vec<i64> = (0..8)
+            .map(|_| (self.next_u64() % 200) as i64 - 100)
+            .collect();
         let mut b = [0u8; 64];
         match kind {
             0 => {
@@ -237,6 +241,10 @@ mod tests {
         // produce at least 32 distinct byte values.
         let b = incompressible_block(3);
         let distinct: std::collections::HashSet<u8> = b.iter().copied().collect();
-        assert!(distinct.len() >= 32, "only {} distinct bytes", distinct.len());
+        assert!(
+            distinct.len() >= 32,
+            "only {} distinct bytes",
+            distinct.len()
+        );
     }
 }

@@ -190,11 +190,7 @@ mod tests {
 
     #[test]
     fn pointer_chase_has_page_locality() {
-        let mut g = AccessGen::new(
-            AccessPattern::PointerChase { locality: 0.8 },
-            1_000_000,
-            9,
-        );
+        let mut g = AccessGen::new(AccessPattern::PointerChase { locality: 0.8 }, 1_000_000, 9);
         let mut same_page = 0;
         let mut prev = g.next_line();
         let n = 10_000;

@@ -108,7 +108,8 @@ impl DataSynthesizer {
         } else {
             profile.comp_frac_in_incomp_page
         };
-        let line_hash = splitmix64(self.seed ^ line_addr.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0xABCD);
+        let line_hash =
+            splitmix64(self.seed ^ line_addr.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0xABCD);
         unit(line_hash) < frac
     }
 

@@ -158,7 +158,14 @@ fn spec(
     }
 }
 
-fn gap(name: &'static str, category: Category, comp: f64, footprint_mb: u64, ipa: f64, wf: f64) -> Profile {
+fn gap(
+    name: &'static str,
+    category: Category,
+    comp: f64,
+    footprint_mb: u64,
+    ipa: f64,
+    wf: f64,
+) -> Profile {
     Profile {
         name,
         suite: Suite::Gap,
@@ -180,18 +187,106 @@ pub fn all_rate_profiles() -> Vec<Profile> {
     use Category as C;
     vec![
         // SPEC CPU2006-like (Fig. 4 compressibility targets).
-        spec("mcf", C::Compressible, 0.60, AP::PointerChase { locality: 0.3 }, 64, 25.0, 0.30),
-        spec("lbm", C::HighlyCompressible, 0.75, AP::Stream, 64, 18.0, 0.45),
-        spec("libquantum", C::Incompressible, 0.06, AP::Stream, 64, 20.0, 0.25),
-        spec("milc", C::ModeratelyCompressible, 0.40, AP::Stream, 64, 30.0, 0.35),
-        spec("soplex", C::Compressible, 0.55, AP::PointerChase { locality: 0.5 }, 64, 35.0, 0.25),
-        spec("GemsFDTD", C::HighlyCompressible, 0.70, AP::Stream, 64, 22.0, 0.40),
-        spec("omnetpp", C::Compressible, 0.65, AP::PointerChase { locality: 0.4 }, 64, 40.0, 0.30),
-        spec("leslie3d", C::ModeratelyCompressible, 0.45, AP::Stream, 64, 28.0, 0.35),
-        spec("bwaves", C::ModeratelyCompressible, 0.35, AP::Stream, 64, 26.0, 0.30),
+        spec(
+            "mcf",
+            C::Compressible,
+            0.60,
+            AP::PointerChase { locality: 0.3 },
+            64,
+            25.0,
+            0.30,
+        ),
+        spec(
+            "lbm",
+            C::HighlyCompressible,
+            0.75,
+            AP::Stream,
+            64,
+            18.0,
+            0.45,
+        ),
+        spec(
+            "libquantum",
+            C::Incompressible,
+            0.06,
+            AP::Stream,
+            64,
+            20.0,
+            0.25,
+        ),
+        spec(
+            "milc",
+            C::ModeratelyCompressible,
+            0.40,
+            AP::Stream,
+            64,
+            30.0,
+            0.35,
+        ),
+        spec(
+            "soplex",
+            C::Compressible,
+            0.55,
+            AP::PointerChase { locality: 0.5 },
+            64,
+            35.0,
+            0.25,
+        ),
+        spec(
+            "GemsFDTD",
+            C::HighlyCompressible,
+            0.70,
+            AP::Stream,
+            64,
+            22.0,
+            0.40,
+        ),
+        spec(
+            "omnetpp",
+            C::Compressible,
+            0.65,
+            AP::PointerChase { locality: 0.4 },
+            64,
+            40.0,
+            0.30,
+        ),
+        spec(
+            "leslie3d",
+            C::ModeratelyCompressible,
+            0.45,
+            AP::Stream,
+            64,
+            28.0,
+            0.35,
+        ),
+        spec(
+            "bwaves",
+            C::ModeratelyCompressible,
+            0.35,
+            AP::Stream,
+            64,
+            26.0,
+            0.30,
+        ),
         spec("zeusmp", C::Compressible, 0.50, AP::Stream, 64, 35.0, 0.35),
-        spec("cactusADM", C::Compressible, 0.60, AP::PointerChase { locality: 0.6 }, 64, 45.0, 0.30),
-        spec("sphinx3", C::ModeratelyCompressible, 0.30, AP::PointerChase { locality: 0.5 }, 48, 50.0, 0.15),
+        spec(
+            "cactusADM",
+            C::Compressible,
+            0.60,
+            AP::PointerChase { locality: 0.6 },
+            64,
+            45.0,
+            0.30,
+        ),
+        spec(
+            "sphinx3",
+            C::ModeratelyCompressible,
+            0.30,
+            AP::PointerChase { locality: 0.5 },
+            48,
+            50.0,
+            0.15,
+        ),
         // GAP-like graph kernels on a Kronecker graph.
         gap("bc.kron", C::ModeratelyCompressible, 0.45, 96, 15.0, 0.20),
         gap("bfs.kron", C::Compressible, 0.50, 96, 18.0, 0.25),
@@ -325,7 +420,10 @@ mod tests {
     fn average_compressibility_is_about_half() {
         // Fig. 4: "on average, 50% of the cachelines are compressible".
         let all = all_rate_profiles();
-        let avg: f64 = all.iter().map(|p| p.data.expected_compressible()).sum::<f64>()
+        let avg: f64 = all
+            .iter()
+            .map(|p| p.data.expected_compressible())
+            .sum::<f64>()
             / all.len() as f64;
         assert!((0.40..0.60).contains(&avg), "average {avg}");
     }
@@ -334,8 +432,7 @@ mod tests {
     fn mixes_have_eight_cores_and_all_categories() {
         for mix in mixes() {
             assert_eq!(mix.cores.len(), 8, "{}", mix.name);
-            let cats: std::collections::HashSet<_> =
-                mix.cores.iter().map(|p| p.category).collect();
+            let cats: std::collections::HashSet<_> = mix.cores.iter().map(|p| p.category).collect();
             assert_eq!(cats.len(), 4, "{} must span all categories", mix.name);
         }
     }
@@ -344,9 +441,7 @@ mod tests {
     fn mixed_pages_preserve_overall_compressibility() {
         let p = Profile::by_name("soplex").unwrap();
         let m = p.clone().with_mixed_pages();
-        assert!(
-            (p.data.expected_compressible() - m.data.expected_compressible()).abs() < 1e-9
-        );
+        assert!((p.data.expected_compressible() - m.data.expected_compressible()).abs() < 1e-9);
         assert_ne!(p.data, m.data);
     }
 

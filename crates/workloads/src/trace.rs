@@ -77,7 +77,9 @@ mod tests {
         let p = Profile::stream();
         let mut gen = TraceGenerator::new(&p, 1);
         let n = 20_000;
-        let total: u64 = (0..n).map(|_| gen.next_event().gap_instructions as u64).sum();
+        let total: u64 = (0..n)
+            .map(|_| gen.next_event().gap_instructions as u64)
+            .sum();
         let mean = total as f64 / n as f64;
         assert!(
             (mean - p.instructions_per_access).abs() < 1.0,

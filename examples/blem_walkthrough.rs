@@ -26,8 +26,14 @@ fn main() {
     let w = blem.write_line(1, &compressible);
     let header = blem.inspect(&w.image.first_half());
     println!("\ncompressible line:");
-    println!("  stored bytes: {} (32 = half a cacheline)", w.image.stored_bytes());
-    println!("  header: cid_matches={} xid={} -> compressed", header.cid_matches, header.xid);
+    println!(
+        "  stored bytes: {} (32 = half a cacheline)",
+        w.image.stored_bytes()
+    );
+    println!(
+        "  header: cid_matches={} xid={} -> compressed",
+        header.cid_matches, header.xid
+    );
 
     // 2. An ordinary uncompressed line: stored verbatim (scrambled).
     let mut random = [0u8; 64];
@@ -54,12 +60,18 @@ fn main() {
     let w = blem.write_line(line, &adversarial_data);
     println!("\nadversarial line engineered to collide with the CID:");
     println!("  collision detected: {}", w.collision);
-    println!("  replacement-area writes so far: {}", blem.ra_stats().writes);
+    println!(
+        "  replacement-area writes so far: {}",
+        blem.ra_stats().writes
+    );
 
     let (read_back, info) = blem.read_line(line, &w.image);
     println!("  read path: collision={} -> RA consulted", info.collision);
     println!("  replacement-area reads so far: {}", blem.ra_stats().reads);
-    assert_eq!(read_back, adversarial_data, "displaced bit restored exactly");
+    assert_eq!(
+        read_back, adversarial_data,
+        "displaced bit restored exactly"
+    );
     println!("  data restored losslessly ✓");
 
     println!(

@@ -18,17 +18,16 @@ fn main() {
 
     let total_lines = profile.footprint_lines * 8;
     println!("COPR budget sensitivity on {} (8 cores)", profile.name);
-    println!(
-        "{:>12} {:>10} {:>10}",
-        "PaPR/LiPR", "accuracy", "speedup"
-    );
+    println!("{:>12} {:>10} {:>10}", "PaPR/LiPR", "accuracy", "speedup");
     for (label, papr_sets, lipr_sets) in [
         ("1/16 size", 512usize, 128usize),
         ("1/4 size", 2048, 512),
         ("paper", 8192, 2048),
         ("4x size", 32768, 8192),
     ] {
-        let mut cfg = base_cfg.clone().with_strategy(MetadataStrategyKind::Attache);
+        let mut cfg = base_cfg
+            .clone()
+            .with_strategy(MetadataStrategyKind::Attache);
         cfg.copr = Some(CoprConfig {
             papr_sets,
             lipr_sets,
