@@ -44,8 +44,10 @@ pub enum Slot {
         /// Set once an issue pass has stalled on this slot, which proves
         /// `line` absent from the LLC (hits never stall). It stays absent
         /// until this core fills it — footprints are disjoint across
-        /// cores — so the mark spares later passes the LLC probe;
-        /// [`Core::forget_known_miss`] clears it on that fill.
+        /// cores — so the mark spares later passes the LLC probe. Only
+        /// slots after the one whose miss fills `line` can still hold it
+        /// un-issued, and the filling pass visits all of them, so that
+        /// pass ignores the mark for the lines it filled.
         known_miss: bool,
     },
 }
@@ -59,9 +61,15 @@ pub struct Core {
     base_line: u64,
     /// The reorder buffer.
     pub rob: VecDeque<Slot>,
+    /// Slots popped off the ROB head so far. A slot's absolute position,
+    /// `popped` plus its index, stays fixed while it sits in the ROB, so
+    /// positions name slots across retirements: transaction waiters
+    /// record them ([`mark_ready_at`](Self::mark_ready_at)), and the
+    /// issue bookkeeping below is kept in them.
+    pub popped: u64,
     /// Instructions currently held in the ROB.
     pub occupancy: u32,
-    /// Instructions retired since the last reset.
+    /// Instructions retired so far.
     pub retired: u64,
     /// Outstanding memory transactions (MSHR occupancy).
     pub outstanding: usize,
@@ -74,30 +82,38 @@ pub struct Core {
     /// with [`issue_from`](Self::issue_from) this lets the per-cycle issue
     /// pass (and the event engine's wake probe) stop as soon as every
     /// un-issued op has been visited instead of walking the whole ROB.
-    /// Maintained by [`fill_rob`](Self::fill_rob) / [`retire`](Self::retire)
-    /// here and by the issue pass in `sim::system`; only meaningful while
-    /// the ROB is mutated through those paths.
+    /// Maintained by [`fill_rob`](Self::fill_rob) here and by the issue
+    /// pass in `sim::system`; only meaningful while the ROB is mutated
+    /// through those paths.
     pub need_issue: u32,
-    /// Index of the first ROB slot that can be in `NeedIssue` state — a
-    /// lower bound kept exact by the issue pass (first stalled slot), by
-    /// `fill_rob` (first push while `need_issue == 0`), and by `retire`
-    /// (shifted down as head slots pop). Unspecified while
-    /// `need_issue == 0`.
-    pub issue_from: usize,
-    /// Snapshot taken after an issue pass in which *every* un-issued slot
-    /// stalled (such a pass is side-effect-free): the system's
+    /// Absolute position of the first slot that can be in `NeedIssue`
+    /// state — a lower bound kept exact by the issue pass (first stalled
+    /// slot) and by `fill_rob` (first push while `need_issue == 0`).
+    /// Retirement never moves it: an un-issued head blocks retirement.
+    /// Unspecified while `need_issue == 0`.
+    pub issue_from: u64,
+    /// The stall snapshot, taken after every issue pass: the system's
     /// issue-environment generation, paired with
-    /// [`stall_outstanding`](Self::stall_outstanding) /
-    /// [`stall_need_issue`](Self::stall_need_issue). While all three still
-    /// match, repeating the pass would provably stall identically, so
-    /// `sim::system` skips it. `u64::MAX` means "no valid snapshot".
+    /// [`stall_outstanding`](Self::stall_outstanding),
+    /// [`stall_need_issue`](Self::stall_need_issue) and
+    /// [`stall_end`](Self::stall_end). Every slot a pass leaves un-issued
+    /// stalled on a proven miss while the MSHRs or the retry queue were
+    /// full, and neither condition can ease without moving the generation
+    /// or the MSHR count. So while both still match
+    /// ([`snapshot_holds`](Self::snapshot_holds)), those slots would stall
+    /// again, and a pass need only visit the slots appended since.
+    /// `u64::MAX` means "no valid snapshot".
     pub stall_env_gen: u64,
     /// MSHR occupancy at the snapshot (a completion freeing an MSHR can
     /// turn a stall into an issue).
     pub stall_outstanding: usize,
-    /// `need_issue` at the snapshot (`fill_rob` appending a fresh op must
-    /// re-run the pass).
+    /// `need_issue` at the snapshot: the un-issued slots below
+    /// [`stall_end`](Self::stall_end), since only `fill_rob` adds more,
+    /// and only at the end.
     pub stall_need_issue: u32,
+    /// Absolute ROB end at the snapshot: slots from here on were
+    /// appended by `fill_rob` after it.
+    pub stall_end: u64,
 }
 
 impl Core {
@@ -110,6 +126,7 @@ impl Core {
             trace,
             base_line,
             rob: VecDeque::new(),
+            popped: 0,
             occupancy: 0,
             retired: 0,
             outstanding: 0,
@@ -119,7 +136,41 @@ impl Core {
             stall_env_gen: u64::MAX,
             stall_outstanding: 0,
             stall_need_issue: 0,
+            stall_end: 0,
         }
+    }
+
+    /// Absolute position one past the ROB's last slot.
+    pub fn end_pos(&self) -> u64 {
+        self.popped + self.rob.len() as u64
+    }
+
+    /// ROB index of the slot at absolute position `pos` (which must not
+    /// have been popped).
+    pub fn index_of(&self, pos: u64) -> usize {
+        debug_assert!(pos >= self.popped, "slot {pos} already retired");
+        (pos - self.popped) as usize
+    }
+
+    /// Whether the stall snapshot still holds under issue-environment
+    /// generation `env_gen`: every un-issued slot below
+    /// [`stall_end`](Self::stall_end) would stall again.
+    pub fn snapshot_holds(&self, env_gen: u64) -> bool {
+        self.stall_env_gen == env_gen && self.stall_outstanding == self.outstanding
+    }
+
+    /// Whether the stall snapshot holds and covers every un-issued slot,
+    /// so that no memory op of this core could issue now.
+    pub fn snapshot_covers(&self, env_gen: u64) -> bool {
+        self.snapshot_holds(env_gen) && self.stall_need_issue == self.need_issue
+    }
+
+    /// Records the stall snapshot at the end of an issue pass.
+    pub fn take_snapshot(&mut self, env_gen: u64) {
+        self.stall_env_gen = env_gen;
+        self.stall_outstanding = self.outstanding;
+        self.stall_need_issue = self.need_issue;
+        self.stall_end = self.end_pos();
     }
 
     /// Fills the ROB from the trace up to `rob_size` instructions.
@@ -133,7 +184,7 @@ impl Core {
                 self.occupancy += ev.gap_instructions;
             }
             if self.need_issue == 0 {
-                self.issue_from = self.rob.len();
+                self.issue_from = self.end_pos();
             }
             self.rob.push_back(Slot::Mem {
                 line: self.base_line + ev.line_offset,
@@ -150,11 +201,6 @@ impl Core {
     /// `cpu_now`; returns how many retired.
     pub fn retire(&mut self, width: u32, cpu_now: u64) -> u32 {
         let mut budget = width;
-        // Slots popped off the head shift every remaining index down, so
-        // the `issue_from` bound must shift with them. A popped slot is
-        // never in `NeedIssue` state (an un-issued head blocks retirement),
-        // so `need_issue` itself is unaffected.
-        let mut pops = 0usize;
         while budget > 0 {
             match self.rob.front_mut() {
                 Some(Slot::Gap { remaining }) => {
@@ -165,7 +211,7 @@ impl Core {
                     self.retired += take as u64;
                     if *remaining == 0 {
                         self.rob.pop_front();
-                        pops += 1;
+                        self.popped += 1;
                     }
                 }
                 Some(Slot::Mem {
@@ -185,7 +231,7 @@ impl Core {
                         break;
                     }
                     self.rob.pop_front();
-                    pops += 1;
+                    self.popped += 1;
                     self.occupancy -= 1;
                     self.retired += 1;
                     budget -= 1;
@@ -193,51 +239,27 @@ impl Core {
                 None => break,
             }
         }
-        self.issue_from = self.issue_from.saturating_sub(pops);
         width - budget
     }
 
-    /// Clears the known-miss marks on un-issued slots for `line`, which
-    /// this core has just filled into the LLC.
-    pub fn forget_known_miss(&mut self, line: u64) {
-        for slot in self.rob.range_mut(self.issue_from..) {
-            if let Slot::Mem {
-                line: l,
-                state: MemState::NeedIssue,
-                known_miss,
-                ..
-            } = slot
-            {
-                if *l == line {
-                    *known_miss = false;
-                }
+    /// Marks the load at absolute position `pos`, which waits on
+    /// transaction `txn`, as ready. A waiting load cannot retire, so the
+    /// slot is still in the ROB.
+    pub fn mark_ready_at(&mut self, pos: u64, txn: u64) {
+        let idx = self.index_of(pos);
+        match &mut self.rob[idx] {
+            Slot::Mem { state, .. } => {
+                debug_assert_eq!(*state, MemState::WaitMem(txn), "slot {pos} waits elsewhere");
+                *state = MemState::Ready;
             }
+            Slot::Gap { .. } => unreachable!("slot {pos} is not a memory op"),
         }
     }
 
-    /// Marks every load waiting on transaction `txn` as ready, without
-    /// touching the MSHR count (used for piggybacked waiters).
-    pub fn mark_txn_ready(&mut self, txn: u64) {
-        for slot in self.rob.iter_mut() {
-            if let Slot::Mem { state, .. } = slot {
-                if *state == MemState::WaitMem(txn) {
-                    *state = MemState::Ready;
-                }
-            }
-        }
-    }
-
-    /// Marks every load waiting on transaction `txn` as ready and releases
-    /// the initiator's MSHR slot.
-    pub fn complete_txn(&mut self, txn: u64) {
-        self.mark_txn_ready(txn);
+    /// Releases the MSHR slot a finished transaction held.
+    pub fn release_mshr(&mut self) {
         debug_assert!(self.outstanding > 0);
         self.outstanding -= 1;
-    }
-
-    /// Resets retirement counting (warm-up boundary).
-    pub fn reset_retired(&mut self) {
-        self.retired = 0;
     }
 }
 
@@ -283,7 +305,9 @@ mod tests {
         c.occupancy = 9;
         assert_eq!(c.retire(4, 0), 0, "load at head blocks");
         c.outstanding = 1;
-        c.complete_txn(7);
+        c.mark_ready_at(0, 7);
+        c.release_mshr();
+        assert_eq!(c.outstanding, 0);
         assert_eq!(c.retire(4, 0), 4, "load + 3 gap instructions");
     }
 
@@ -326,5 +350,81 @@ mod tests {
         c.occupancy = 1;
         assert_eq!(c.retire(4, 19), 0);
         assert_eq!(c.retire(4, 20), 1);
+    }
+    /// The whole-ROB scan that [`Core::mark_ready_at`] replaced: every load
+    /// waiting on `txn` becomes ready.
+    fn mark_txn_ready_scan(c: &mut Core, txn: u64) {
+        for slot in c.rob.iter_mut() {
+            if let Slot::Mem { state, .. } = slot {
+                if *state == MemState::WaitMem(txn) {
+                    *state = MemState::Ready;
+                }
+            }
+        }
+    }
+
+    /// A core whose head has retired past a few slots, holding loads that
+    /// wait on transactions 0..4 (transaction 2 twice: an initiator and a
+    /// piggybacked hit), plus gaps, an issued store and an un-issued load.
+    /// Returns the core and each waiting slot's (position, transaction).
+    fn waiting_core() -> (Core, Vec<(u64, u64)>) {
+        let mut c = core();
+        for _ in 0..3 {
+            c.rob.push_back(Slot::Gap { remaining: 1 });
+            c.occupancy += 1;
+        }
+        assert_eq!(c.retire(4, 0), 3);
+        let load = |state| Slot::Mem {
+            line: 9,
+            is_write: false,
+            state,
+            known_miss: false,
+        };
+        let slots = [
+            load(MemState::WaitMem(0)),
+            Slot::Gap { remaining: 5 },
+            load(MemState::WaitMem(2)),
+            load(MemState::WaitLlc(4)),
+            load(MemState::WaitMem(1)),
+            Slot::Mem {
+                line: 3,
+                is_write: true,
+                state: MemState::Ready,
+                known_miss: false,
+            },
+            load(MemState::WaitMem(2)),
+            load(MemState::NeedIssue),
+            load(MemState::WaitMem(3)),
+        ];
+        let mut waiting = Vec::new();
+        for s in slots {
+            if let Slot::Mem {
+                state: MemState::WaitMem(t),
+                ..
+            } = s
+            {
+                waiting.push((c.end_pos(), t));
+            }
+            c.rob.push_back(s);
+        }
+        (c, waiting)
+    }
+
+    #[test]
+    fn marking_by_position_equals_the_scan() {
+        let (_, waiting) = waiting_core();
+        assert_eq!(waiting.len(), 5);
+        for txn in 0..4 {
+            let (mut scanned, _) = waiting_core();
+            mark_txn_ready_scan(&mut scanned, txn);
+            let (mut direct, _) = waiting_core();
+            assert_eq!(direct.popped, 3, "positions are absolute");
+            for &(pos, t) in &waiting {
+                if t == txn {
+                    direct.mark_ready_at(pos, t);
+                }
+            }
+            assert_eq!(direct.rob, scanned.rob, "transaction {txn}");
+        }
     }
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The full CI gate: release build, the whole test suite, the per-engine
-# correctness passes, clippy with warnings promoted to errors, the
-# rustdoc gate, the figure smoke and the repository benchmark's smoke.
-# Nothing here writes to a
-# tracked file: every smoke writes under a throwaway directory, so
-# `git status` is clean after a green run.
+# correctness passes, the format check, clippy with warnings promoted to
+# errors, the rustdoc gate, the figure smoke and the repository
+# benchmark's smoke. Nothing here writes to a tracked file: every smoke
+# writes under a throwaway directory, so `git status` is clean after a
+# green run.
 #
 # Which stage covers which contract:
 #
@@ -24,6 +24,9 @@
 #   backend referee      | workspace tests; engines (dram referee under the
 #                        |   auditor, sim backends suite per engine)
 #   knob audit           | workspace tests; engines (env_knobs per engine)
+#   core-model skips     | engines (sim differential suite in a debug build,
+#                        |   where the stall-snapshot asserts are live)
+#   formatting           | clippy stage (cargo fmt --all --check)
 #   scheduler decision   | workspace tests (dram scheduler_golden: both tick
 #     identity           |   paths against FNV literals); engines (the same
 #                        |   suite in a debug build, where the event path's
@@ -61,8 +64,13 @@ done
 # out: among them the checks that a cached scheduling bound never skips
 # a command (`tick_retire_only`, `advance_noop`) and that no pass or bound
 # reads a deferred candidate index. The DRAM crate's own tests, run once
-# in a debug build, drive those asserts on both tick paths.
+# in a debug build, drive those asserts on both tick paths. The sim
+# crate's differential suite, in a debug build, drives the core model's:
+# every slot an incremental issue pass skips is a known miss that would
+# stall, the full walk never issues a slot the stall snapshot predicted
+# to stall, and a wake probe the snapshot answers finds nothing to issue.
 cargo test -q -p attache-dram
+cargo test -q -p attache-sim --test differential
 
 # With every integrity knob explicitly disarmed no integrity engine is
 # constructed, and with the content-keyed compression memo off every
@@ -95,7 +103,8 @@ if grep -rEn -- "--test-threads[= ][0-9]" scripts/; then
     echo "ci.sh: scripts must stay parallel-safe (no test-threads override)"; exit 1
 fi
 
-echo "=== cargo clippy -- -D warnings ==="
+echo "=== cargo fmt --check; cargo clippy -- -D warnings ==="
+cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The backend contract is documentation-first (a third backend is meant
