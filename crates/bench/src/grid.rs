@@ -275,22 +275,15 @@ impl JobSpec {
     }
 
     /// The canonical cache key: format version + run length + base seed +
-    /// backend + identity. Changing any of these must miss the cache. The
-    /// backend marker is appended only when it deviates from the cycle
-    /// reference, so every cache entry written before that axis existed
-    /// stays valid (the literal key is pinned by `tests/determinism.rs`).
+    /// identity. Changing any of these must miss the cache (the literal
+    /// key is pinned by `tests/determinism.rs`).
     pub fn cache_key(&self, cfg: &ExperimentConfig) -> String {
-        let backend = match cfg.backend {
-            attache_sim::BackendKind::Cycle => "",
-            attache_sim::BackendKind::Fast => "|b:fast",
-        };
         format!(
-            "{}|i{}|w{}|s{}{}|{}",
+            "{}|i{}|w{}|s{}|{}",
             report_io::FORMAT_VERSION,
             cfg.instructions,
             cfg.warmup,
             cfg.seed,
-            backend,
             self.identity()
         )
     }
@@ -539,14 +532,12 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attache_sim::BackendKind;
 
     fn cfg() -> ExperimentConfig {
         ExperimentConfig {
             instructions: 10_000,
             warmup: 2_000,
             seed: 42,
-            backend: BackendKind::Cycle,
         }
     }
 
@@ -603,7 +594,6 @@ mod tests {
             instructions: 300,
             warmup: 0,
             seed: 42,
-            backend: BackendKind::Cycle,
         };
         let report = job.execute(&base);
         let dir =
@@ -621,25 +611,16 @@ mod tests {
                 instructions: 600,
                 warmup: 0,
                 seed: 42,
-                backend: BackendKind::Cycle,
             },
             ExperimentConfig {
                 instructions: 300,
                 warmup: 100,
                 seed: 42,
-                backend: BackendKind::Cycle,
             },
             ExperimentConfig {
                 instructions: 300,
                 warmup: 0,
                 seed: 43,
-                backend: BackendKind::Cycle,
-            },
-            ExperimentConfig {
-                instructions: 300,
-                warmup: 0,
-                seed: 42,
-                backend: BackendKind::Fast,
             },
         ] {
             let changed_key = job.cache_key(&changed);
@@ -738,30 +719,5 @@ mod tests {
             "garbage must degrade to a miss, not a panic or a bogus report"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fast_backend_re_keys_the_cache_and_cycle_keys_stay_legacy_stable() {
-        // The backend marker must split the cache (a fast-model report
-        // can never satisfy a cycle probe) while leaving cycle-model keys
-        // byte-identical to the pre-backend-axis format, so the existing
-        // cache population survives the upgrade.
-        let job = JobSpec::new(
-            WorkloadRef::Rate("mcf".into()),
-            MetadataStrategyKind::Attache,
-        );
-        let cycle = cfg();
-        let mut fast = cfg();
-        fast.backend = BackendKind::Fast;
-        assert!(
-            !job.cache_key(&cycle).contains("|b:"),
-            "cycle keys must not grow a backend marker: {}",
-            job.cache_key(&cycle)
-        );
-        assert!(job.cache_key(&fast).contains("|b:fast|"));
-        assert_ne!(job.cache_path(&cycle), job.cache_path(&fast));
-        // The sim config actually routes the selection to the simulator.
-        assert_eq!(job.sim_config(&fast).backend, BackendKind::Fast);
-        assert_eq!(job.sim_config(&cycle).backend, BackendKind::Cycle);
     }
 }

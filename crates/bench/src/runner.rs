@@ -12,11 +12,8 @@
 //!   per-job report cache lives in its `cache/` subdirectory.
 //! * `ATTACHE_NO_CACHE` — skip the report cache (recompute and do not
 //!   save). Passing `--no-cache` to a figure binary does the same.
-//! * `ATTACHE_BACKEND` — memory timing backend (`cycle` | `fast`; see
-//!   docs/BACKENDS.md). An unknown value warns and falls back to the
-//!   cycle reference — it must never kill a sweep mid-grid.
 
-use attache_sim::{backend_from_env, env_flag, env_u64, BackendKind, SimConfig};
+use attache_sim::{env_flag, env_u64, SimConfig};
 use std::path::PathBuf;
 
 /// Harness-level configuration, read from the environment.
@@ -28,10 +25,6 @@ pub struct ExperimentConfig {
     pub warmup: u64,
     /// Base seed.
     pub seed: u64,
-    /// Memory timing backend (`ATTACHE_BACKEND`). Part of every job's
-    /// identity: a fast-model report must never satisfy a cycle-model
-    /// cache probe.
-    pub backend: BackendKind,
 }
 
 impl ExperimentConfig {
@@ -42,33 +35,23 @@ impl ExperimentConfig {
                 instructions: env_u64("ATTACHE_INSTR", 40_000),
                 warmup: env_u64("ATTACHE_WARMUP", 8_000),
                 seed: env_u64("ATTACHE_SEED", 42),
-                backend: backend_from_env(),
             };
         }
         Self {
             instructions: env_u64("ATTACHE_INSTR", 600_000),
             warmup: env_u64("ATTACHE_WARMUP", 100_000),
             seed: env_u64("ATTACHE_SEED", 42),
-            backend: backend_from_env(),
         }
     }
 
     /// The Table II simulator configuration at this run length.
     pub fn sim_config(&self) -> SimConfig {
-        SimConfig::table2_baseline()
-            .with_instructions(self.instructions, self.warmup)
-            .with_backend(self.backend)
+        SimConfig::table2_baseline().with_instructions(self.instructions, self.warmup)
     }
 
     /// A short tag identifying this configuration in cache file names.
-    /// The backend marker appears only when it deviates from the cycle
-    /// reference, so pre-existing exports keep their names.
     pub fn tag(&self) -> String {
-        let base = format!("i{}_w{}_s{}", self.instructions, self.warmup, self.seed);
-        match self.backend {
-            BackendKind::Cycle => base,
-            BackendKind::Fast => format!("{base}_bfast"),
-        }
+        format!("i{}_w{}_s{}", self.instructions, self.warmup, self.seed)
     }
 
     /// Worker threads for grid execution: `ATTACHE_WORKERS`, defaulting to
@@ -119,22 +102,6 @@ pub fn geo_mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tag_marks_only_non_default_backends() {
-        // Export stems keep their pre-backend-axis names on the cycle
-        // reference; only a deviating backend earns a marker.
-        let mut ec = ExperimentConfig {
-            instructions: 10_000,
-            warmup: 2_000,
-            seed: 42,
-            backend: BackendKind::Cycle,
-        };
-        assert_eq!(ec.tag(), "i10000_w2000_s42");
-        ec.backend = BackendKind::Fast;
-        assert_eq!(ec.tag(), "i10000_w2000_s42_bfast");
-        assert_eq!(ec.sim_config().backend, BackendKind::Fast);
-    }
 
     #[test]
     fn geo_mean_of_identical_values() {

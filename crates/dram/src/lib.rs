@@ -36,26 +36,80 @@ pub mod channel;
 pub mod config;
 pub mod conformance;
 pub mod ecc;
-pub mod fast;
 pub mod power;
 pub mod rank;
-pub mod referee;
 pub mod request;
 mod sched_index;
 pub mod soft_error;
 
-pub use backend::{new_backend, BackendKind, MemoryBackend, UnknownBackend};
+pub use backend::{new_backend, BackendKind};
 pub use channel::{Channel, ChannelStats, QueueFull};
 pub use config::{AddressMapping, DramConfig, Location, Timing};
 pub use conformance::{ConformanceChecker, ConformanceStats, DramCommand, TimingViolation};
 pub use ecc::{decode_line, encode_line, LineDecode, WordDecode};
-pub use fast::FastMemory;
 pub use power::{EnergyBreakdown, PowerModel, PowerParams};
-pub use referee::{referee_replay, RefereeConfig, RefereeReport, ReplaySummary, Tolerance};
 pub use request::{AccessKind, AccessWidth, Completion, MemRequest, Origin, SubrankId};
 pub use soft_error::SoftErrorProcess;
 
-/// A multi-channel main-memory system (Table II: two channels).
+/// A multi-channel main-memory system (Table II: two channels) — the
+/// simulator's memory timing model.
+///
+/// # Contract
+///
+/// Both simulator engines (`ATTACHE_ENGINE=cycle|event`) drive this one
+/// model and must produce bit-identical reports; these are the
+/// obligations that make that hold.
+///
+/// * **Determinism.** The model is a pure function of its construction
+///   parameters and the exact sequence of mutating calls: no wall clock,
+///   no ambient randomness, no iteration over unordered containers where
+///   order could leak into completions, statistics or command
+///   arbitration. `Send` lets the experiment grid move systems across
+///   worker threads; each instance is driven from one thread at a time.
+/// * **Clock discipline.** The clock advances only through
+///   [`tick`](Self::tick) / [`tick_event`](Self::tick_event) (one
+///   cycle; any interleaving of the two leaves the same observable
+///   state — only the work done differs),
+///   [`advance_noop`](Self::advance_noop) (a span the caller has proven
+///   event-free; passive state such as background energy is accounted
+///   exactly as that many ticks would, by integer cycle counting rather
+///   than repeated f64 addition) and
+///   [`advance_idle_to`](Self::advance_idle_to) (fully idle only).
+/// * **Event-horizon soundness.** [`next_event`](Self::next_event) — and
+///   [`next_event_cached`](Self::next_event_cached), served from bounds
+///   that `tick_event` maintains — is the earliest cycle at which the
+///   model could retire a completion, issue a command, refresh, flip a
+///   drain mode or change an enqueue outcome. It may *under*-estimate
+///   (the event engine degrades toward polling) but never
+///   *over*-estimate, or the event engine would skip a cycle the
+///   per-cycle engine executes. Every bound is clamped to an active
+///   derate's expiry as `bound.min(until.max(now + 1))`.
+/// * **Acceptance generations.** [`accept_gen`](Self::accept_gen) must
+///   change on every mutation that can turn a rejection of that request
+///   into an acceptance — a CAS freeing a slot in its channel's queue, a
+///   new write-queue line (a forwarding or coalescing target), a derate
+///   set or lift — and may stay put across mutations that only make
+///   acceptance harder. [`aggregate_accept_gen`](Self::aggregate_accept_gen)
+///   changes whenever any channel's does. A missed bump stalls retries
+///   under the event engine and shows up as an engine divergence.
+/// * **Completion exactness.** Every accepted read completes exactly
+///   once, carrying its request's id, origin and arrival. Writes are
+///   posted and may coalesce: at most one completion per accepted write.
+///   Completions drain in channel-major order, retirement order within a
+///   channel, and never before the cycle after acceptance; no read beats
+///   the cold-read floor `1 + tRCD + tCAS + tBURST`.
+/// * **Accounting.** [`stats`](Self::stats) and [`energy`](Self::energy)
+///   are bit-identical across engines. [`reset_stats`](Self::reset_stats)
+///   zeroes both at the warm-up boundary without touching the clock;
+///   requests in flight then attribute to the measured region when they
+///   retire.
+/// * **Derate hook.** [`fault_derate_reads`](Self::fault_derate_reads)
+///   caps every read queue at `min(cap, capacity)` for the next enqueue
+///   decision until the clock reaches `until`. It is timing-only, a new
+///   call overwrites an active window (raising the cap included), set
+///   and lift both move every acceptance generation, and the lift happens
+///   at the top of the first tick with `now >= until` on either tick
+///   path.
 #[derive(Debug)]
 pub struct MemorySystem {
     cfg: DramConfig,
@@ -336,18 +390,16 @@ impl MemorySystem {
         self.clamp_to_derate_expiry(min)
     }
 
-    /// The acceptance generation of the channel servicing `req` (see
-    /// [`MemoryBackend::accept_gen`]): bumped only by a CAS that shrinks
-    /// one of its queues, a new write-queue line, or a derate set or
-    /// lift — not by ACT, PRE, refresh, burst retirement or an accepted
-    /// read.
+    /// The acceptance generation of the channel servicing `req` (see the
+    /// type-level contract): bumped only by a CAS that shrinks one of its
+    /// queues, a new write-queue line, or a derate set or lift — not by
+    /// ACT, PRE, refresh, burst retirement or an accepted read.
     pub fn accept_gen(&self, req: &MemRequest) -> u64 {
         self.channels[self.channel_of(req.line_addr)].accept_gen()
     }
 
-    /// The sum of every channel's acceptance generation (see
-    /// [`MemoryBackend::aggregate_accept_gen`]): the counters only grow,
-    /// so the sum moves exactly when some channel's does.
+    /// The sum of every channel's acceptance generation: the counters
+    /// only grow, so the sum moves exactly when some channel's does.
     pub fn aggregate_accept_gen(&self) -> u64 {
         self.channels.iter().map(Channel::accept_gen).sum()
     }

@@ -7,8 +7,8 @@
 //!   at *touch* time — every read or scrub of a line advances a global
 //!   touch counter, and whether that touch deposits a flip (and where)
 //!   is a pure function of `(seed, line, touch ordinal)`. Because both
-//!   engines and all backends replay the identical touch sequence, the error process is bit-identical everywhere the
-//!   request stream is.
+//!   engines replay the identical touch sequence, the error process is
+//!   bit-identical everywhere the request stream is.
 //! * **Sticky cells** (weak/stuck cells): a pure function of
 //!   `(seed, line)` with rate one-eighth of the transient rate. A sticky
 //!   cell re-asserts its flip after every rewrite of the line — the

@@ -3,14 +3,16 @@
 //! Randomized traffic runs with a [`ConformanceChecker`] attached to every
 //! channel; any ACT/RD/WR/PRE/REF the independent shadow model deems
 //! illegal panics the run, so a green test *is* the zero-violation claim.
+//! An audited replay is also deterministic: a fresh system fed the same
+//! seeded stream retires the same completions at the same cycles.
 //! The suite also proves the auditor has teeth: a deliberately injected
 //! early CAS (replayed from `tests/corpus/dram-trcd.case`) and a full
 //! system run audited against deliberately stricter reference timings are
 //! both caught.
 
 use attache_dram::{
-    AccessKind, AccessWidth, ConformanceChecker, DramCommand, DramConfig, MemRequest, MemorySystem,
-    Origin, PowerParams, SubrankId, Timing,
+    AccessKind, AccessWidth, Completion, ConformanceChecker, DramCommand, DramConfig, MemRequest,
+    MemorySystem, Origin, PowerParams, SubrankId, Timing,
 };
 use attache_testkit::{CorpusCase, Gen};
 
@@ -38,10 +40,11 @@ fn random_request(g: &mut Gen, id: u64, now: u64) -> MemRequest {
 }
 
 /// Ticks `mem` for `cycles`, feeding it randomized requests as queue
-/// space allows. Long enough runs cross tREFI, so REF commands are
-/// audited too.
-fn drive(mem: &mut MemorySystem, g: &mut Gen, requests: u64, cycles: u64) {
+/// space allows, and returns the completions in drain order. Long
+/// enough runs cross tREFI, so REF commands are audited too.
+fn drive(mem: &mut MemorySystem, g: &mut Gen, requests: u64, cycles: u64) -> Vec<Completion> {
     let mut sent = 0;
+    let mut done = Vec::new();
     for _ in 0..cycles {
         if sent < requests && g.below(3) == 0 {
             let req = random_request(g, sent, mem.now());
@@ -50,12 +53,13 @@ fn drive(mem: &mut MemorySystem, g: &mut Gen, requests: u64, cycles: u64) {
             }
         }
         mem.tick();
-        mem.drain_completions();
+        mem.drain_completions_into(&mut done);
     }
     assert_eq!(
         sent, requests,
         "queue pressure kept requests out of the run"
     );
+    done
 }
 
 #[test]
@@ -66,7 +70,7 @@ fn legal_randomized_traffic_has_zero_violations() {
     let mut g = Gen::new(0xC0F0);
     let mut mem = MemorySystem::new(DramConfig::table2(), PowerParams::ddr4_1600());
     mem.enable_conformance();
-    drive(&mut mem, &mut g, 600, 26_000);
+    let done = drive(&mut mem, &mut g, 600, 26_000);
     let stats = mem.conformance_stats().expect("auditor attached");
     assert!(stats.commands_checked > 0, "auditor saw no commands");
     assert!(stats.activates > 0, "traffic must activate rows");
@@ -76,6 +80,19 @@ fn legal_randomized_traffic_has_zero_violations() {
     );
     assert!(stats.precharges > 0, "row conflicts must precharge");
     assert!(stats.refreshes > 0, "a 26k-cycle run must refresh");
+
+    // Determinism: a second fresh system replaying the same seeded
+    // stream retires the same requests in the same order with the same
+    // latencies, and ends with the same statistics.
+    let mut twin = MemorySystem::new(DramConfig::table2(), PowerParams::ddr4_1600());
+    twin.enable_conformance();
+    let twin_done = drive(&mut twin, &mut Gen::new(0xC0F0), 600, 26_000);
+    assert!(!done.is_empty());
+    assert_eq!(
+        twin_done, done,
+        "replays of one stream must retire identically"
+    );
+    assert_eq!(twin.stats(), mem.stats());
 }
 
 #[test]

@@ -218,11 +218,8 @@ pub struct SimConfig {
     /// Main-loop engine (bit-identical results either way; see
     /// [`EngineKind`]).
     pub engine: EngineKind,
-    /// Memory timing backend (`ATTACHE_BACKEND=cycle|fast`; see
-    /// `docs/BACKENDS.md`). [`BackendKind::Cycle`] is the reference and
-    /// the default — goldens and figures are pinned to it;
-    /// [`BackendKind::Fast`] trades row/refresh fidelity for severalfold
-    /// faster exploratory sweeps inside a documented tolerance envelope.
+    /// Memory timing model. [`BackendKind::Cycle`], the cycle-level DDR4
+    /// model, is the only one.
     pub backend: BackendKind,
     /// Run with the mirror-memory oracle attached (see [`crate::mirror`]):
     /// every writeback is shadow-copied and every functional read decode
@@ -288,7 +285,7 @@ impl SimConfig {
             store_version_salt: true,
             cid_bits: 14,
             engine: EngineKind::from_env(),
-            backend: backend_from_env(),
+            backend: BackendKind::Cycle,
             mirror: crate::env::env_flag("ATTACHE_MIRROR"),
             epoch: crate::env::env_u64_opt("ATTACHE_EPOCH"),
             trace_ring: crate::env::env_u64_opt("ATTACHE_TRACE_RING").map(|n| n as usize),
@@ -340,8 +337,7 @@ impl SimConfig {
         self
     }
 
-    /// Same configuration with an explicit memory backend (overriding
-    /// whatever `ATTACHE_BACKEND` selected).
+    /// Same configuration with an explicit memory timing model.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
@@ -411,31 +407,6 @@ impl SimConfig {
     pub fn with_scrub(mut self, period: Option<u64>) -> Self {
         self.scrub_period = period.filter(|&p| p > 0);
         self
-    }
-}
-
-/// Reads `ATTACHE_BACKEND` (`cycle` or `fast`); unset, empty or
-/// unparsable values fall back to the cycle backend — with a warning on
-/// stderr for unparsable values, never a panic, so a typo cannot kill a
-/// sweep mid-flight. Deliberately *not* cached in a `OnceLock`: tests
-/// and the grid toggle the variable between config constructions.
-pub fn backend_from_env() -> BackendKind {
-    backend_from_env_value(std::env::var("ATTACHE_BACKEND").ok().as_deref())
-}
-
-/// The pure classifier behind [`backend_from_env`], testable without
-/// touching the process environment.
-pub fn backend_from_env_value(value: Option<&str>) -> BackendKind {
-    match value {
-        None => BackendKind::Cycle,
-        Some("") => BackendKind::Cycle,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!(
-                "warning: ATTACHE_BACKEND={v:?} is not \"cycle\" or \"fast\"; \
-                 using the cycle backend"
-            );
-            BackendKind::Cycle
-        }),
     }
 }
 

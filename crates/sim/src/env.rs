@@ -41,7 +41,6 @@ pub fn env_flag_value(value: Option<&str>) -> bool {
 /// motivating case: `ATTACHE_EPOC=50000` silently sampling nothing), so
 /// [`warn_unknown_knobs_once`] flags it at sim startup.
 pub const KNOWN_KNOBS: &[&str] = &[
-    "ATTACHE_BACKEND",
     "ATTACHE_BER",
     "ATTACHE_BLESS",
     "ATTACHE_COMPRESS_MEMO",

@@ -36,10 +36,7 @@ pub mod strategy;
 pub mod system;
 
 pub use attache_dram::BackendKind;
-pub use config::{
-    backend_from_env, backend_from_env_value, CoreConfig, EngineKind, MetadataStrategyKind,
-    SimConfig,
-};
+pub use config::{CoreConfig, EngineKind, MetadataStrategyKind, SimConfig};
 pub use env::{env_flag, env_flag_value, env_u64, env_u64_opt, unknown_knobs, KNOWN_KNOBS};
 pub use faults::{FaultClass, FaultCounters, FaultPlan, FaultStats, TickBudgetExceeded};
 pub use inline::InlineVec;

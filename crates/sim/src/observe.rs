@@ -31,7 +31,7 @@ use attache_metrics::{EpochSeries, Registry, SharedTraceRing};
 
 use crate::config::SimConfig;
 use crate::strategy::Strategy;
-use attache_dram::MemoryBackend as DramBackend;
+use attache_dram::MemorySystem;
 
 /// The observability output of a run: the final cumulative registry,
 /// and the epoch series when `ATTACHE_EPOCH`/`with_epoch` was set.
@@ -118,7 +118,7 @@ impl Observer {
     pub(crate) fn on_tick(
         &mut self,
         now: u64,
-        mem: &dyn DramBackend,
+        mem: &MemorySystem,
         llc: &attache_cache::Llc,
         strategy: &Strategy,
         cfg: &SimConfig,
@@ -137,7 +137,7 @@ impl Observer {
     pub(crate) fn finish(
         &mut self,
         now: u64,
-        mem: &dyn DramBackend,
+        mem: &MemorySystem,
         llc: &attache_cache::Llc,
         strategy: &Strategy,
         cfg: &SimConfig,
@@ -162,7 +162,7 @@ impl Observer {
     fn refresh(
         &mut self,
         now: u64,
-        mem: &dyn DramBackend,
+        mem: &MemorySystem,
         llc: &attache_cache::Llc,
         strategy: &Strategy,
         cfg: &SimConfig,

@@ -3,8 +3,7 @@
 use attache_core::copr::CoprConfig;
 use attache_core::fasthash::FastMap;
 use attache_dram::{
-    AccessKind, AccessWidth, AddressMapping, Completion, MemRequest, MemoryBackend as DramBackend,
-    Origin,
+    AccessKind, AccessWidth, AddressMapping, Completion, MemRequest, MemorySystem, Origin,
 };
 use attache_workloads::{MixWorkload, Profile, TraceGenerator};
 use std::collections::VecDeque;
@@ -81,19 +80,18 @@ pub struct System {
     cfg: SimConfig,
     cores: Vec<Core>,
     llc: attache_cache::Llc,
-    /// The memory *timing* backend (`cfg.backend`): cycle-level DDR4 or
-    /// the fast queueing model, behind the `attache_dram::MemoryBackend`
-    /// boundary. Distinct from [`MemoryBackend`], this crate's
-    /// *functional* backend (contents/compressibility, cycle-free).
-    mem: Box<dyn DramBackend>,
+    /// The cycle-level DDR4 timing model. Distinct from
+    /// [`MemoryBackend`], this crate's *functional* backend
+    /// (contents/compressibility, cycle-free).
+    mem: MemorySystem,
     strategy: Strategy,
     backend: MemoryBackend,
     txns: FastMap<u64, Txn>,
     txn_by_req: FastMap<u64, u64>,
     pending_lines: FastMap<u64, u64>,
     /// Deferred (queue-full) requests in submission order, each with the
-    /// backend's [`accept_gen`](DramBackend::accept_gen) observed at its
-    /// last rejection.
+    /// memory system's [`accept_gen`](MemorySystem::accept_gen) observed
+    /// at its last rejection.
     retry_q: VecDeque<(MemRequest, u64)>,
     /// Requests waiting out the lookup delay, in release order. Every
     /// delayed request waits the same per-run delay
@@ -106,7 +104,7 @@ pub struct System {
     follow_scratch: Vec<ReqSpec>,
     /// Reused buffer for each tick's drained completions (same
     /// take/fill/drain/put-back discipline as `follow_scratch`); with
-    /// [`DramBackend::drain_completions_into`] the per-tick drain
+    /// [`MemorySystem::drain_completions_into`] the per-tick drain
     /// allocates nothing in steady state.
     completion_scratch: Vec<attache_dram::Completion>,
     next_txn: u64,
@@ -131,8 +129,8 @@ pub struct System {
     /// Event engine only: scratch for the cores a bus tick steps (those
     /// whose wake has come), collected once per tick.
     awake: Vec<usize>,
-    /// Event engine only: the backend's
-    /// [`aggregate_accept_gen`](DramBackend::aggregate_accept_gen) taken
+    /// Event engine only: the memory system's
+    /// [`aggregate_accept_gen`](MemorySystem::aggregate_accept_gen) taken
     /// just before the last retry flush pass. While unchanged, every
     /// retry would be rejected again, so the pass is skipped.
     flush_gen: u64,
@@ -246,7 +244,7 @@ impl System {
         let observation = sys
             .observer
             .as_mut()
-            .map(|o| o.finish(now, sys.mem.as_ref(), &sys.llc, &sys.strategy, &sys.cfg));
+            .map(|o| o.finish(now, &sys.mem, &sys.llc, &sys.strategy, &sys.cfg));
         (report, observation)
     }
 
@@ -277,7 +275,7 @@ impl System {
             strategy.enable_integrity(seed, cfg.ber_ppm.unwrap_or(0), cfg.ecc);
         }
         let observer = Observer::from_config(cfg);
-        let mut mem = attache_dram::new_backend(cfg.backend, cfg.dram, cfg.power);
+        let mut mem = MemorySystem::new(cfg.dram, cfg.power);
         if let Some(ring) = observer.as_ref().and_then(|o| o.ring.clone()) {
             strategy.set_trace(ring.clone());
             mem.set_trace(ring);
@@ -381,8 +379,8 @@ impl System {
     /// [`bus_tick`](Self::bus_tick), but every phase consults a cached
     /// bound before doing work:
     ///
-    /// * channels with a future [`next_event`](DramBackend::next_event)
-    ///   bound skip their scheduler pass ([`DramBackend::tick_event`]);
+    /// * channels with a future [`next_event`](MemorySystem::next_event)
+    ///   bound skip their scheduler pass ([`MemorySystem::tick_event`]);
     /// * retries are only re-attempted when some acceptance generation
     ///   moved since the last pass began (`aggregate_accept_gen`), and
     ///   within a pass only the requests whose own channel's acceptance
@@ -802,7 +800,7 @@ impl System {
     fn observe_tick(&mut self) {
         let now = self.mem.now();
         if let Some(obs) = self.observer.as_mut() {
-            obs.on_tick(now, self.mem.as_ref(), &self.llc, &self.strategy, &self.cfg);
+            obs.on_tick(now, &self.mem, &self.llc, &self.strategy, &self.cfg);
         }
     }
 
@@ -1098,7 +1096,7 @@ impl System {
     /// Re-offers every deferred request once, oldest first; the rejected
     /// keep their order. The per-cycle engine attempts every request
     /// (`gated == false`, the reference). The event engine skips a request
-    /// whose [`accept_gen`](DramBackend::accept_gen) has not moved since
+    /// whose [`accept_gen`](MemorySystem::accept_gen) has not moved since
     /// its rejection: the attempt would be rejected again and mutate
     /// nothing, so the queue ends in the same state.
     fn flush_retries(&mut self, gated: bool) {

@@ -5,9 +5,7 @@
 //! This is the contract that lets every figure binary default to the event
 //! engine: it is purely a wall-clock optimization, never a model change.
 
-use attache_sim::{
-    BackendKind, EngineKind, FaultClass, FaultPlan, MetadataStrategyKind, SimConfig, System,
-};
+use attache_sim::{EngineKind, FaultClass, FaultPlan, MetadataStrategyKind, SimConfig, System};
 use attache_workloads::{mixes, AccessPattern, Category, DataProfile, Profile, Suite};
 
 const STRATEGIES: [MetadataStrategyKind; MetadataStrategyKind::ALL.len()] =
@@ -163,29 +161,6 @@ fn event_engine_stops_on_the_target_tick() {
 }
 
 #[test]
-fn engines_agree_on_the_fast_backend_all_strategies() {
-    // The tentpole's engine contract extends to every MemoryBackend:
-    // the fast queueing model's next_event/accept_gen/derate bounds
-    // must be exact, or the event engine would skip a retirement or a
-    // retry-flush cycle the reference engine runs. Bit-identity here is
-    // what makes `ATTACHE_BACKEND=fast` composable with the default
-    // event engine on sweeps.
-    for s in STRATEGIES {
-        let mut cfg = quick(s).with_backend(BackendKind::Fast);
-        cfg.engine = EngineKind::Cycle;
-        let cycle = System::run_rate_mode(&cfg, Profile::rand(), 23);
-        cfg.engine = EngineKind::Event;
-        let event = System::run_rate_mode(&cfg, Profile::rand(), 23);
-        assert_eq!(cycle, event, "engines disagree on the fast backend for {s}");
-        assert_eq!(
-            cycle.energy.total_pj().to_bits(),
-            event.energy.total_pj().to_bits(),
-            "fast-backend energy bits disagree for {s}"
-        );
-    }
-}
-
-#[test]
 fn engines_agree_under_a_deep_retry_backlog_with_derate_windows() {
     // A 4-entry read queue keeps hundreds of requests in the retry queue,
     // so nearly every retry pass runs against a full channel, and
@@ -197,61 +172,30 @@ fn engines_agree_under_a_deep_retry_backlog_with_derate_windows() {
     let mut plan = FaultPlan::new(0xDE7_A7E5);
     plan.classes = vec![FaultClass::BusDerate];
     plan.period = 1_500;
-    for backend in [BackendKind::Cycle, BackendKind::Fast] {
-        for s in STRATEGIES {
-            let mut cfg = quick(s)
-                .with_backend(backend)
-                .with_faults(Some(plan.clone()));
-            cfg.dram.read_queue_capacity = 4;
-            cfg.engine = EngineKind::Cycle;
-            let cycle = System::run_rate_mode(&cfg, Profile::rand(), 41);
-            cfg.engine = EngineKind::Event;
-            let event = System::run_rate_mode(&cfg, Profile::rand(), 41);
-            assert_eq!(
-                cycle, event,
-                "engines disagree for {s} on the {backend} backend"
-            );
-            assert_eq!(
-                cycle.energy.total_pj().to_bits(),
-                event.energy.total_pj().to_bits(),
-                "energy bits disagree for {s} on the {backend} backend"
-            );
-            // Non-vacuity: the derate windows and the shrunken queue both
-            // change the run.
-            let no_derate =
-                System::run_rate_mode(&cfg.clone().with_faults(None), Profile::rand(), 41);
-            assert_ne!(
-                event, no_derate,
-                "derate windows never bit for {s} on {backend}"
-            );
-            let mut roomy = cfg.clone().with_faults(None);
-            roomy.dram.read_queue_capacity = quick(s).dram.read_queue_capacity;
-            let roomy = System::run_rate_mode(&roomy, Profile::rand(), 41);
-            assert!(
-                no_derate.bus_cycles > roomy.bus_cycles,
-                "a 4-entry read queue must slow {s} on {backend}"
-            );
-        }
-    }
-}
-
-#[test]
-fn cycle_backend_behind_the_trait_is_bit_identical() {
-    // Tentpole pin: the refactor routed the cycle model through a boxed
-    // `MemoryBackend`, and `with_backend(Cycle)` must be
-    // indistinguishable from the pre-refactor default — on BOTH engines
-    // (the golden-stats suite pins the same property against
-    // tests/goldens/ snapshots taken before the refactor).
-    for engine in [EngineKind::Cycle, EngineKind::Event] {
-        let mut cfg = quick(MetadataStrategyKind::Attache);
-        cfg.engine = engine;
-        let default_backend = System::run_rate_mode(&cfg, Profile::stream(), 29);
-        let explicit = System::run_rate_mode(
-            &cfg.clone().with_backend(BackendKind::Cycle),
-            Profile::stream(),
-            29,
+    for s in STRATEGIES {
+        let mut cfg = quick(s).with_faults(Some(plan.clone()));
+        cfg.dram.read_queue_capacity = 4;
+        cfg.engine = EngineKind::Cycle;
+        let cycle = System::run_rate_mode(&cfg, Profile::rand(), 41);
+        cfg.engine = EngineKind::Event;
+        let event = System::run_rate_mode(&cfg, Profile::rand(), 41);
+        assert_eq!(cycle, event, "engines disagree for {s}");
+        assert_eq!(
+            cycle.energy.total_pj().to_bits(),
+            event.energy.total_pj().to_bits(),
+            "energy bits disagree for {s}"
         );
-        assert_eq!(default_backend, explicit, "{engine:?}");
+        // Non-vacuity: the derate windows and the shrunken queue both
+        // change the run.
+        let no_derate = System::run_rate_mode(&cfg.clone().with_faults(None), Profile::rand(), 41);
+        assert_ne!(event, no_derate, "derate windows never bit for {s}");
+        let mut roomy = cfg.clone().with_faults(None);
+        roomy.dram.read_queue_capacity = quick(s).dram.read_queue_capacity;
+        let roomy = System::run_rate_mode(&roomy, Profile::rand(), 41);
+        assert!(
+            no_derate.bus_cycles > roomy.bus_cycles,
+            "a 4-entry read queue must slow {s}"
+        );
     }
 }
 

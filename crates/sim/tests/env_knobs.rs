@@ -10,8 +10,7 @@
 //! a second env-mutating test here would race this one.
 
 use attache_sim::{
-    backend_from_env_value, env_flag_value, env_u64, env_u64_opt, unknown_knobs, BackendKind,
-    FaultPlan, SimConfig, KNOWN_KNOBS,
+    env_flag_value, env_u64, env_u64_opt, unknown_knobs, FaultPlan, SimConfig, KNOWN_KNOBS,
 };
 
 #[test]
@@ -122,33 +121,6 @@ fn env_knob_parsing_is_total() {
     std::env::remove_var("ATTACHE_ECC");
     std::env::remove_var("ATTACHE_SCRUB");
     assert!(!SimConfig::table2_baseline().integrity_armed());
-
-    // ATTACHE_BACKEND follows the warn-don't-panic contract too: a typo
-    // mid-sweep warns and falls back to the cycle reference, never
-    // panics (the bench::grid regression this PR fixes).
-    std::env::set_var("ATTACHE_BACKEND", "dramsim3");
-    assert_eq!(SimConfig::table2_baseline().backend, BackendKind::Cycle);
-    std::env::set_var("ATTACHE_BACKEND", "");
-    assert_eq!(SimConfig::table2_baseline().backend, BackendKind::Cycle);
-    std::env::set_var("ATTACHE_BACKEND", "FAST"); // case-insensitive
-    assert_eq!(SimConfig::table2_baseline().backend, BackendKind::Fast);
-    std::env::set_var("ATTACHE_BACKEND", "cycle");
-    assert_eq!(SimConfig::table2_baseline().backend, BackendKind::Cycle);
-    std::env::remove_var("ATTACHE_BACKEND");
-    assert_eq!(SimConfig::table2_baseline().backend, BackendKind::Cycle);
-}
-
-#[test]
-fn backend_classifier_is_total() {
-    // The pure classifier behind ATTACHE_BACKEND — exercised without
-    // touching the process environment, so it can run alongside the
-    // env-mutating test above.
-    assert_eq!(backend_from_env_value(None), BackendKind::Cycle);
-    assert_eq!(backend_from_env_value(Some("")), BackendKind::Cycle);
-    assert_eq!(backend_from_env_value(Some("cycle")), BackendKind::Cycle);
-    assert_eq!(backend_from_env_value(Some("fast")), BackendKind::Fast);
-    assert_eq!(backend_from_env_value(Some("Fast")), BackendKind::Fast);
-    assert_eq!(backend_from_env_value(Some("hbm2")), BackendKind::Cycle);
 }
 
 #[test]
@@ -224,6 +196,7 @@ fn unknown_knob_classifier_flags_typos_only() {
         "ATTACHE_RESUME",
         "ATTACHE_JOB_LIMIT",
         "ATTACHE_TRACE",
+        "ATTACHE_BACKEND",
     ];
     assert_eq!(
         unknown_knobs(names),
@@ -236,6 +209,7 @@ fn unknown_knob_classifier_flags_typos_only() {
             "ATTACHE_RESUME",
             "ATTACHE_JOB_LIMIT",
             "ATTACHE_TRACE",
+            "ATTACHE_BACKEND",
         ]
     );
     // Every registered knob classifies as known.

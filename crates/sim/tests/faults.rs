@@ -22,9 +22,7 @@
 //! `tests/corpus/fault-ra-corrupt.case` so the exact schedule that
 //! exercises the Replacement-Area recovery path is reproducible.
 
-use attache_sim::{
-    BackendKind, EngineKind, FaultClass, FaultPlan, MetadataStrategyKind, SimConfig, System,
-};
+use attache_sim::{EngineKind, FaultClass, FaultPlan, MetadataStrategyKind, SimConfig, System};
 use attache_testkit::CorpusCase;
 use attache_workloads::{AccessPattern, Category, DataProfile, Profile, Suite};
 
@@ -104,49 +102,6 @@ fn fault_schedule_is_engine_invariant() {
     assert!(
         total_injected > 0,
         "the chaos run must actually inject faults"
-    );
-}
-
-#[test]
-fn bus_derate_windows_expire_identically_on_the_fast_backend() {
-    // The fast backend implements the derate hook itself (capped read
-    // queues, expiry at `until`), and its expiry is an event both
-    // engines must observe at the same tick — the fast model's
-    // next_event clamp mirrors the cycle model's. A schedule of ONLY
-    // bus_derate faults on the fast backend must therefore yield
-    // bit-identical reports and per-class accounting across engines,
-    // and the windows must actually bite (perturbed vs. faults-off).
-    let mut plan = FaultPlan::new(0xB05_DE7A);
-    plan.classes = vec![FaultClass::BusDerate];
-    let mut results = Vec::new();
-    for engine in ENGINES {
-        let cfg = chaos_config(engine)
-            .with_backend(BackendKind::Fast)
-            .with_faults(Some(plan.clone()));
-        let (report, obs) = System::run_rate_mode_observed(&cfg, chaos_profile(), 17);
-        let reg = obs.expect("trace ring arms the observer").registry;
-        results.push((report, fault_counters(&reg, FaultClass::BusDerate)));
-    }
-    assert_eq!(
-        results[0].0, results[1].0,
-        "engines diverged under bus_derate on the fast backend"
-    );
-    assert_eq!(
-        results[0].1, results[1].1,
-        "bus_derate accounting diverged across engines on the fast backend"
-    );
-    let [injected, ..] = results[0].1;
-    assert!(injected > 0, "the schedule must inject derate windows");
-
-    // The windows must perturb timing (else the expiry path never ran).
-    let off = System::run_rate_mode(
-        &chaos_config(EngineKind::Event).with_backend(BackendKind::Fast),
-        chaos_profile(),
-        17,
-    );
-    assert_ne!(
-        results[0].0, off,
-        "derate windows must actually throttle the fast backend"
     );
 }
 

@@ -21,7 +21,7 @@
 //! cannot launder an engine divergence into the goldens.
 
 use attache_metrics::registry_to_json;
-use attache_sim::{BackendKind, EngineKind, MetadataStrategyKind, SimConfig, System};
+use attache_sim::{EngineKind, MetadataStrategyKind, SimConfig, System};
 use attache_testkit::Gen;
 use attache_workloads::{AccessPattern, Category, DataProfile, Profile, Suite};
 use std::path::PathBuf;
@@ -69,12 +69,7 @@ fn pinned(strategy: MetadataStrategyKind, engine: EngineKind) -> SimConfig {
         .with_instructions(3_000, 300)
         .with_engine(engine)
         // Pin the knobs explicitly so ambient ATTACHE_EPOCH /
-        // ATTACHE_TRACE_RING / ATTACHE_BACKEND values cannot perturb the
-        // goldens. Pinning the cycle backend here is also the tentpole
-        // regression pin: these snapshots predate the MemoryBackend
-        // boundary, so the trait-routed cycle model matching them
-        // byte-for-byte proves the refactor changed nothing.
-        .with_backend(BackendKind::Cycle)
+        // ATTACHE_TRACE_RING values cannot perturb the goldens.
         .with_epoch(Some(EPOCH))
         .with_trace_ring(None);
     // Small LLC, as in the mirror suite: quick runs must spill.

@@ -13,7 +13,7 @@
 //! is never constructed and reports are bit-identical to a build that
 //! never heard of integrity.
 
-use attache_sim::{BackendKind, EngineKind, MetadataStrategyKind, SimConfig, System};
+use attache_sim::{EngineKind, MetadataStrategyKind, SimConfig, System};
 use attache_workloads::{AccessPattern, Category, DataProfile, Profile, Suite};
 
 const ENGINES: [EngineKind; 2] = [EngineKind::Cycle, EngineKind::Event];
@@ -106,26 +106,19 @@ fn integrity_off_is_pure() {
     // explicitly disarming every knob is byte-identical to a config
     // that never mentioned integrity (no engine is constructed), the
     // report carries no integrity section, and its serialization emits
-    // not a single new key — across both engines and both backends.
+    // not a single new key — across both engines.
     for engine in ENGINES {
-        for backend in [BackendKind::Cycle, BackendKind::Fast] {
-            let base = soak_config(engine)
-                .with_backend(backend)
-                .with_strategy(MetadataStrategyKind::Attache);
-            let off = base.clone().with_ber(None).with_ecc(false).with_scrub(None);
-            let a = System::run_rate_mode(&base, soak_profile(), 5);
-            let b = System::run_rate_mode(&off, soak_profile(), 5);
-            assert_eq!(
-                a, b,
-                "{engine:?} {backend:?}: disarmed knobs must be a no-op"
-            );
-            assert!(a.integrity.is_none(), "no engine may exist with knobs off");
-            let text = attache_sim::report_io::to_text(&a, "k");
-            assert!(
-                !text.contains("integrity.") && !text.contains("scrub_reads"),
-                "{engine:?} {backend:?}: integrity-off reports must serialize without new keys"
-            );
-        }
+        let base = soak_config(engine).with_strategy(MetadataStrategyKind::Attache);
+        let off = base.clone().with_ber(None).with_ecc(false).with_scrub(None);
+        let a = System::run_rate_mode(&base, soak_profile(), 5);
+        let b = System::run_rate_mode(&off, soak_profile(), 5);
+        assert_eq!(a, b, "{engine:?}: disarmed knobs must be a no-op");
+        assert!(a.integrity.is_none(), "no engine may exist with knobs off");
+        let text = attache_sim::report_io::to_text(&a, "k");
+        assert!(
+            !text.contains("integrity.") && !text.contains("scrub_reads"),
+            "{engine:?}: integrity-off reports must serialize without new keys"
+        );
     }
 
     // And an armed run must actually differ — otherwise the purity
@@ -168,23 +161,6 @@ fn armed_runs_are_engine_invariant() {
             "{strategy}: the invariance check must not be vacuous"
         );
     }
-
-    // The fast backend has its own timing, so its reports cannot match
-    // the cycle backend's — but its engine axis must still agree.
-    let mut fast = Vec::new();
-    for engine in ENGINES {
-        let cfg = soak_config(engine)
-            .with_strategy(MetadataStrategyKind::Attache)
-            .with_backend(BackendKind::Fast)
-            .with_ber(Some(40_000))
-            .with_ecc(true)
-            .with_scrub(Some(400));
-        fast.push(System::run_rate_mode(&cfg, soak_profile(), 9));
-    }
-    assert_eq!(
-        fast[0], fast[1],
-        "fast backend diverged across engines under integrity"
-    );
 }
 
 #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The full CI gate: release build, the whole test suite, the per-engine
-# correctness passes, the format check, clippy with warnings promoted to
-# errors, the rustdoc gate, the figure smoke and the repository
-# benchmark's smoke. Nothing here writes to a tracked file: every smoke
+# correctness passes, the figure smoke, the lint stage (format check,
+# clippy and rustdoc with warnings promoted to errors) and the
+# repository benchmark's smoke. Nothing here writes to a tracked file: every smoke
 # writes under a throwaway directory, so `git status` is clean after a
 # green run.
 #
@@ -21,12 +21,11 @@
 #                        |   units); figure smoke (fig_integrity preamble)
 #   memo purity          | goldens with knobs off (ATTACHE_COMPRESS_MEMO=0);
 #                        |   workspace tests (compress kernel equivalence)
-#   backend referee      | workspace tests; engines (dram referee under the
-#                        |   auditor, sim backends suite per engine)
 #   knob audit           | workspace tests; engines (env_knobs per engine)
 #   core-model skips     | engines (sim differential suite in a debug build,
 #                        |   where the stall-snapshot asserts are live)
-#   formatting           | clippy stage (cargo fmt --all --check)
+#   formatting, rustdoc  | lint stage (cargo fmt --all --check; cargo doc
+#                        |   -D warnings on attache-dram)
 #   scheduler decision   | workspace tests (dram scheduler_golden: both tick
 #     identity           |   paths against FNV literals); engines (the same
 #                        |   suite in a debug build, where the event path's
@@ -103,15 +102,13 @@ if grep -rEn -- "--test-threads[= ][0-9]" scripts/; then
     echo "ci.sh: scripts must stay parallel-safe (no test-threads override)"; exit 1
 fi
 
-echo "=== cargo fmt --check; cargo clippy -- -D warnings ==="
+# The memory model's contract (determinism, event-horizon soundness,
+# acceptance generations, the derate hook) is written in the rustdoc on
+# `attache_dram::MemorySystem`, so broken intra-doc links or malformed
+# rustdoc on the dram crate are CI failures, not warnings.
+echo "=== lints: cargo fmt --check; clippy -D warnings; rustdoc -D warnings (attache-dram) ==="
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
-
-# The backend contract is documentation-first (a third backend is meant
-# to be written from docs/BACKENDS.md + the trait rustdoc alone), so
-# broken intra-doc links or malformed rustdoc on the dram crate are CI
-# failures, not warnings.
-echo "=== rustdoc gate (attache-dram, -D warnings) ==="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p attache-dram --quiet
 
 # The repository benchmark is its own package (attache_benchmark/, with

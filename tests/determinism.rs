@@ -50,14 +50,12 @@ fn cache_key_and_tag_match_the_recorded_literals() {
     // are pinned as literals so that a harness change which re-keys the
     // existing cache (and silently recomputes every figure) fails here.
     // Configs are literals: no env reads, so the test is parallel-safe.
-    use attache::sim::BackendKind;
     use attache_bench::{ExperimentConfig, JobSpec, WorkloadRef};
 
     let cfg = ExperimentConfig {
         instructions: 25_000,
         warmup: 5_000,
         seed: 42,
-        backend: BackendKind::Cycle,
     };
     let job = JobSpec::new(
         WorkloadRef::Rate("stream".into()),
